@@ -1,10 +1,10 @@
 """GetSteps scoring-engine throughput: full recount vs O(Δ) incremental.
 
 A Figure-7-shaped search workload — a long user script standardized
-against a peer corpus — run twice: ``incremental_scoring`` off (every
-proposal re-walks the whole script: ``compute_edge_counts`` +
-``score_edge_counts``) and on (every proposal scored off the candidate's
-cached edge state in O(Δ)).  The execution constraint is stubbed out so
+against a peer corpus — run twice: through the full-recount oracle
+(every proposal re-walks the whole script: ``compute_edge_counts`` +
+``score_edge_counts``) and through the production delta engine (every
+proposal scored off the candidate's cached edge state in O(Δ)).  The execution constraint is stubbed out so
 the measurement isolates the scoring engine; the bit-identity contract is
 asserted before any speed number counts.
 
@@ -70,12 +70,22 @@ def _workload():
     return corpus, user
 
 
+class _FullRecountSearch(BeamSearch):
+    """GetSteps scored by the full-recount oracle alone: no cached edge
+    state, every proposal recounted from scratch."""
+
+    def _score_state(self, candidate):
+        return None, None
+
+    def _delta_score(self, candidate, edge_state, re_stats, transformation):
+        return self._projected_score(candidate.statements, transformation)
+
+
 def _run_search(vocabulary, user, incremental):
     scorer = RelativeEntropyScorer(vocabulary)
-    config = LSConfig(
-        seq=SEQ, beam_size=BEAM_SIZE, incremental_scoring=incremental
-    )
-    search = BeamSearch(vocabulary, scorer, config, exec_checker=lambda s: True)
+    config = LSConfig(seq=SEQ, beam_size=BEAM_SIZE)
+    engine = BeamSearch if incremental else _FullRecountSearch
+    search = engine(vocabulary, scorer, config, exec_checker=lambda s: True)
     statements = list(parse_script(user).statements)
     started = time.perf_counter()
     result = search.search(statements)
@@ -165,9 +175,7 @@ def test_perf_getsteps_verify_mode_is_clean():
     corpus, user = _workload()
     vocabulary = CorpusVocabulary.from_scripts(corpus)
     scorer = RelativeEntropyScorer(vocabulary)
-    config = LSConfig(
-        seq=3, beam_size=2, incremental_scoring=True, verify_scoring=True
-    )
+    config = LSConfig(seq=3, beam_size=2, verify_scoring=True)
     search = BeamSearch(vocabulary, scorer, config, exec_checker=lambda s: True)
     search.search(list(parse_script(user).statements))
     search.sync_cache_stats()

@@ -36,12 +36,7 @@ from .._lru import LRUCache
 from ..lang.errors import ScriptError
 from ..lang.parser import EdgeDelta, EdgeState, Statement, compute_edge_counts
 from ..lang.vocabulary import CorpusVocabulary
-from ..sandbox import (
-    BatchReport,
-    IncrementalExecutor,
-    check_executes_batch,
-    run_script,
-)
+from ..sandbox import BatchReport, IncrementalExecutor, check_executes_batch
 from .config import LSConfig
 from .diversity import cluster_transformations
 from .entropy import REStats, RelativeEntropyScorer
@@ -220,11 +215,7 @@ class BeamSearch:
 
             self._lang_dialect = get_dialect(config.dialect)
         self._executor = executor
-        if (
-            self._executor is None
-            and exec_checker is None
-            and config.incremental_exec
-        ):
+        if self._executor is None and exec_checker is None:
             self._executor = IncrementalExecutor(
                 data_dir=data_dir,
                 sample_rows=config.sample_rows,
@@ -237,8 +228,8 @@ class BeamSearch:
         self._executor_baseline = (
             dict(self._executor.stats.as_dict()) if self._executor else {}
         )
-        # timeouts observed outside the shared executor (cold checks, pool
-        # batches); sync_cache_stats adds the executor's delta on top
+        # timeouts observed outside the shared executor (shard waves);
+        # sync_cache_stats adds the executor's delta on top
         self._direct_timeouts = 0
         self._exec_cache: LRUCache = LRUCache(self.EXEC_CACHE_LIMIT)
         self._statement_cache: LRUCache = LRUCache(self.STATEMENT_CACHE_LIMIT)
@@ -292,19 +283,8 @@ class BeamSearch:
         cpu = time.process_time()
         if self._exec_checker is not None:
             ok = self._exec_checker(source)
-        elif self._executor is not None:
-            ok = self._executor.check_executes(source)
         else:
-            result = run_script(
-                source,
-                data_dir=self.data_dir,
-                sample_rows=self.config.sample_rows,
-                timeout_s=self.config.exec_timeout_s,
-                dialect=self.config.dialect,
-            )
-            ok = result.ok and result.output is not None
-            if result.timed_out:
-                self._direct_timeouts += 1
+            ok = self._executor.check_executes(source)
         self.stats.check_executes_s += time.perf_counter() - wall
         self.stats.check_executes_cpu_s += time.process_time() - cpu
         self.stats.n_exec_checks += 1
@@ -322,8 +302,8 @@ class BeamSearch:
     def _projected_score(
         self, statements: Sequence[Statement], transformation: Transformation
     ) -> float:
-        """Score a transformation via the marginal P(x) update (Sec. 5.2):
-        splice a virtual sequence view and recount edges positionally,
+        """The full-recount oracle behind ``verify_scoring``: splice a
+        virtual sequence view and recount every edge positionally,
         without materializing new Statement objects."""
         virtual = list(statements)
         if transformation.kind == DELETE:
@@ -420,12 +400,13 @@ class BeamSearch:
     def get_steps(self, candidate: Candidate) -> List[Tuple[Transformation, float]]:
         """GetSteps(): rank legal next transformations by projected RE.
 
-        With ``LSConfig.incremental_scoring`` (the default), every
-        proposal is scored by the marginal-update engine: the candidate's
-        cached edge state yields an O(Δ) edge delta, and the sufficient-
-        statistics representation turns that into the new RE without
-        touching untouched edges.  The deltas are kept for the wave so a
-        winning extension's state derives from its parent's.
+        Every proposal is scored by the marginal-update engine: the
+        candidate's cached edge state yields an O(Δ) edge delta, and the
+        sufficient-statistics representation turns that into the new RE
+        without touching untouched edges (``LSConfig.verify_scoring``
+        audits each score against the full recount).  The deltas are
+        kept for the wave so a winning extension's state derives from
+        its parent's.
         """
         start = time.perf_counter()
         added = {t.signature for t in candidate.applied if t.kind == ADD}
@@ -438,21 +419,16 @@ class BeamSearch:
             forbidden_deletes=added,
             operation_groups=self.operation_groups,
         )
-        incremental = self.config.incremental_scoring
-        if incremental:
-            edge_state, re_stats = self._score_state(candidate)
-            self._wave_deltas = {}
-            self._wave_parent_key = candidate.source()
+        edge_state, re_stats = self._score_state(candidate)
+        self._wave_deltas = {}
+        self._wave_parent_key = candidate.source()
         ranked: List[Tuple[Transformation, float]] = []
         for transformation in raw:
             try:
-                if incremental:
-                    score = self._delta_score(
-                        candidate, edge_state, re_stats, transformation
-                    )
-                    self.stats.n_delta_scores += 1
-                else:
-                    score = self._projected_score(candidate.statements, transformation)
+                score = self._delta_score(
+                    candidate, edge_state, re_stats, transformation
+                )
+                self.stats.n_delta_scores += 1
             except (ScriptError, IndexError, ValueError):
                 continue
             ranked.append((transformation, score))
@@ -490,8 +466,6 @@ class BeamSearch:
         rebuilds lazily on its first GetSteps — a counted fallback, never
         an error.
         """
-        if not self.config.incremental_scoring:
-            return
         key = child.source()
         if key in self._score_state_cache:
             return
@@ -548,8 +522,6 @@ class BeamSearch:
             report=report,
             statement_timeout_s=self.config.statement_timeout_s,
             snapshot_budget=self.config.snapshot_budget,
-            shard_affinity=self.config.shard_affinity,
-            source_cache_limit=self.config.worker_source_cache_limit,
             affinity_base=candidate.source(),
             dialect=self.config.dialect,
         )
@@ -558,12 +530,7 @@ class BeamSearch:
         self.stats.n_exec_checks += len(wave)
         self.stats.n_exec_batches += 1
         self.stats.n_batched_checks += len(wave)
-        self._direct_timeouts += report.timeouts
-        self.stats.n_worker_respawns += report.respawns
-        self.stats.n_degraded_waves += report.degraded
-        self.stats.n_shard_hits += report.shard_hits
-        self.stats.n_shard_migrations += report.shard_migrations
-        self.stats.bytes_shipped += report.bytes_shipped
+        self.fold_batch_report(report)
         if self.config.verify_parallel:
             # audit the engine's bit-identity claim: the serial loop must
             # return exactly these verdicts in exactly this order
@@ -584,6 +551,15 @@ class BeamSearch:
                 )
         for source, ok in zip(wave, verdicts):
             self._exec_cache[source] = ok
+
+    def fold_batch_report(self, report: BatchReport) -> None:
+        """Add one shard wave's fault and shipping counts to the stats."""
+        self._direct_timeouts += report.timeouts
+        self.stats.n_worker_respawns += report.respawns
+        self.stats.n_degraded_waves += report.degraded
+        self.stats.n_shard_hits += report.shard_hits
+        self.stats.n_shard_migrations += report.shard_migrations
+        self.stats.bytes_shipped += report.bytes_shipped
 
     def get_top_k_beams(
         self,

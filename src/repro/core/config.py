@@ -53,37 +53,21 @@ class LSConfig:
         larger values speculatively check candidate waves in parallel
         while still admitting in rank order, so results stay
         deterministic for a fixed seed.
-    incremental_exec:
-        Route CheckIfExecutes/VerifyConstraints through the
-        prefix-resumable :class:`repro.sandbox.IncrementalExecutor`
-        instead of cold re-execution from line 1.
-    incremental_scoring:
-        Score GetSteps proposals with the O(Δ) delta engine — the
-        candidate's cached edge state plus sufficient-statistics KL
-        updates (:meth:`repro.core.entropy.RelativeEntropyScorer
-        .score_delta`) — instead of recounting the whole script's edges
-        per proposal.  Bit-identical to the full recount by
-        construction; on (the default) it only changes speed.
     verify_scoring:
-        Debug mode: run the full recount alongside every delta score and
-        raise :class:`repro.core.beam.ScoringMismatchError` on any
-        divergence (exact comparison).  Also times both paths, surfacing
-        the measured ratio as ``SearchStats.get_steps_speedup``.  Off by
+        GetSteps always scores proposals with the O(Δ) delta engine (the
+        candidate's cached edge state plus sufficient-statistics KL
+        updates).  Debug mode: run the full-recount oracle alongside
+        every delta score and raise
+        :class:`repro.core.beam.ScoringMismatchError` on any divergence
+        (exact comparison).  Also times both paths, surfacing the
+        measured ratio as ``SearchStats.get_steps_speedup``.  Off by
         default — it exists to audit the delta engine, not for
         production.
-    incremental_intent:
-        Verify the user-intent constraint through the content-addressed
-        :class:`repro.core.intent.PreparedIntent` engine — the original
-        output's per-mode state is frozen once per search (and cached
-        worker-side by fingerprint on the pool path), and each candidate
-        check pays O(changed columns) via per-column content
-        fingerprints, an exact disjoint-column Jaccard decomposition for
-        ``mode='cells'``, and a whole-table short-circuit.  Bit-identical
-        to the naive pairwise measures by construction; on (the default)
-        it only changes speed.
     verify_intent:
-        Debug mode: recompute every prepared intent delta through the
-        naive cache-free path alongside and raise
+        The intent constraint is always checked through the
+        content-addressed :class:`repro.core.intent.PreparedIntent`
+        engine.  Debug mode: recompute every prepared intent delta
+        through the naive cache-free measures alongside and raise
         :class:`repro.core.intent.IntentMismatchError` on any float
         divergence (exact comparison).  Also times both paths, surfacing
         the measured ratio as ``SearchStats.intent_speedup``.  Off by
@@ -91,8 +75,7 @@ class LSConfig:
         production.
     snapshot_budget:
         LRU capacity of the incremental executor's namespace-snapshot
-        store; 0 disables prefix resumption even when
-        ``incremental_exec`` is on.
+        store; 0 disables prefix resumption (every check runs cold).
     exec_timeout_s:
         Wall-clock budget (seconds) for one candidate script inside
         CheckIfExecutes/VerifyConstraints.  A candidate that exceeds it
@@ -116,34 +99,6 @@ class LSConfig:
         verdicts against the serial loop where exercised by tests).  Off
         by default — it exists to audit the shard engine's bit-identical
         claim, not for production.
-    shard_affinity:
-        Route each candidate to the shard addressed by the hash of its
-        prefix fingerprint (longest leading-line run shared with the
-        wave's base script), so a shard's resident incremental executor
-        sees the prefixes it has already snapshotted across waves.
-        Placement is load-capped and deterministic either way; off sends
-        every task to the least-loaded shard.  Affinity only changes
-        which worker runs a task — never the result.
-    worker_output_cache_limit:
-        LRU bound on each shard worker's resident original-output table
-        cache (distinct run fingerprints retained per worker).
-    worker_intent_cache_limit:
-        LRU bound on each shard worker's resident prepared-intent cache
-        (distinct ``(run fingerprint, intent identity)`` pairs retained
-        per worker).
-    worker_source_cache_limit:
-        Capacity of each shard worker's content-addressed source store
-        (and of the parent's per-shard mirror of it).  Larger values let
-        more candidates ship as ``ref``/O(delta) splices instead of full
-        texts; the store holds script texts, so memory cost is modest.
-    corpus_cache:
-        Route corpus construction through the process-wide
-        content-addressed warm cache (:mod:`repro.corpus.cache`): each
-        unique corpus script is lemmatized and parsed at most once per
-        process, and a repeated ``LucidScript`` construction over the
-        same corpus sequence reuses the assembled index outright.
-        Bit-identical to ``CorpusVocabulary.from_scripts`` by
-        construction; on (the default) it only changes speed.
     verify_index:
         Debug mode: audit the corpus index backing this search against
         a from-scratch offline-phase rebuild at construction time and
@@ -198,21 +153,13 @@ class LSConfig:
     operation_groups: Optional[int] = None
     random_state: int = 0
     parallel_workers: int = 1
-    incremental_exec: bool = True
-    incremental_scoring: bool = True
     verify_scoring: bool = False
-    incremental_intent: bool = True
     verify_intent: bool = False
     snapshot_budget: int = 64
     exec_timeout_s: Optional[float] = None
     statement_timeout_s: Optional[float] = None
     pool_respawn_limit: int = 1
     verify_parallel: bool = False
-    shard_affinity: bool = True
-    worker_output_cache_limit: int = 4
-    worker_intent_cache_limit: int = 4
-    worker_source_cache_limit: int = 256
-    corpus_cache: bool = True
     verify_index: bool = False
     retrieval_k: int = 20
     verify_retrieval: bool = False
@@ -256,23 +203,8 @@ class LSConfig:
             raise ValueError(
                 f"pool_respawn_limit must be >= 0, got {self.pool_respawn_limit}"
             )
-        if self.worker_output_cache_limit < 1:
-            raise ValueError(
-                "worker_output_cache_limit must be >= 1, "
-                f"got {self.worker_output_cache_limit}"
-            )
-        if self.worker_intent_cache_limit < 1:
-            raise ValueError(
-                "worker_intent_cache_limit must be >= 1, "
-                f"got {self.worker_intent_cache_limit}"
-            )
         if self.retrieval_k < 1:
             raise ValueError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.worker_source_cache_limit < 1:
-            raise ValueError(
-                "worker_source_cache_limit must be >= 1, "
-                f"got {self.worker_source_cache_limit}"
-            )
 
     @property
     def clusters(self) -> int:

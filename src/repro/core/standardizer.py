@@ -28,7 +28,7 @@ from ..lang import CorpusVocabulary, ScriptError, lemmatize, parse_script
 from ..minipandas import DataFrame
 from ..minipandas.kernels import kernel_audit
 from ..sandbox import IncrementalExecutor, run_script
-from ..sandbox.runner import BatchReport, get_worker_pool
+from ..sandbox.runner import BatchReport, run_wave
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
 from .entropy import RelativeEntropyScorer, percent_improvement
@@ -38,9 +38,7 @@ from .transformations import Transformation
 __all__ = ["LucidScript", "StandardizationResult", "StandardizationError"]
 
 
-#: Default bounds for the worker-resident caches below; overridable per
-#: run via ``LSConfig.worker_output_cache_limit`` / ``worker_intent_cache_limit``
-#: (threaded into tasks, applied by :func:`_sized_cache`).
+#: Bounds of the worker-resident caches below.
 _WORKER_OUTPUT_CACHE_LIMIT = 4
 _WORKER_INTENT_CACHE_LIMIT = 4
 
@@ -57,19 +55,6 @@ _WORKER_OUTPUT_CACHE: LRUCache = LRUCache(_WORKER_OUTPUT_CACHE_LIMIT)
 #: per key instead of rebuilding it per task (LRU-bounded, like the
 #: output cache above).
 _WORKER_INTENT_CACHE: LRUCache = LRUCache(_WORKER_INTENT_CACHE_LIMIT)
-
-
-def _sized_cache(cache: LRUCache, limit: Optional[int]) -> LRUCache:
-    """*cache* resized to the configured *limit* (None keeps it as-is).
-
-    The one shared eviction discipline for the worker-resident caches:
-    :class:`~repro._lru.LRUCache` owns both the insert-time eviction and
-    the shrink-on-reconfigure path, replacing the two hand-rolled
-    ``popitem`` loops these caches used to carry.
-    """
-    if limit is not None and limit != cache.capacity:
-        cache.resize(limit)
-    return cache
 
 
 def _original_output_fingerprint(
@@ -96,7 +81,6 @@ def _worker_original_output(
     data_dir: Optional[str],
     sample_rows: Optional[int],
     timeout_s: Optional[float],
-    limit: Optional[int] = None,
     dialect: Optional[str] = None,
 ) -> Optional[DataFrame]:
     """The original output inside a shard worker — cached, else recomputed.
@@ -107,8 +91,7 @@ def _worker_original_output(
     ship two strings instead of a pickled DataFrame per candidate.
     """
     fingerprint, original_source = ref
-    cache = _sized_cache(_WORKER_OUTPUT_CACHE, limit)
-    cached = cache.get(fingerprint)
+    cached = _WORKER_OUTPUT_CACHE.get(fingerprint)
     if cached is not None:
         return cached
     result = run_script(
@@ -120,7 +103,7 @@ def _worker_original_output(
     )
     if not result.ok or result.output is None:
         return None
-    cache[fingerprint] = result.output
+    _WORKER_OUTPUT_CACHE[fingerprint] = result.output
     return result.output
 
 
@@ -129,7 +112,6 @@ def _worker_prepared_intent(
     intent: IntentMeasure,
     original_output: DataFrame,
     verify: bool,
-    limit: Optional[int] = None,
 ) -> PreparedIntent:
     """This worker's prepared intent state — cached, else frozen once.
 
@@ -139,84 +121,29 @@ def _worker_prepared_intent(
     the worker — only verdicts cross back to the parent.
     """
     key = (fingerprint, intent.cache_key())
-    cache = _sized_cache(_WORKER_INTENT_CACHE, limit)
-    prepared = cache.get(key)
+    prepared = _WORKER_INTENT_CACHE.get(key)
     if prepared is not None:
         prepared.counters.prepared_hits += 1
         prepared.verify = verify
         return prepared
     prepared = intent.prepare(original_output, verify=verify)
-    cache[key] = prepared
+    _WORKER_INTENT_CACHE[key] = prepared
     return prepared
 
 
-def _verify_candidate_task(args) -> bool:
-    """Top-level (picklable) constraint check for one candidate script.
-
-    Runs in a pool worker: execution constraint plus the optional intent
-    check against the original output.  Only a verdict crosses back to the
-    parent — the winning candidate's output is recomputed there, where the
-    incremental executor typically has its full prefix snapshotted.  The
-    worker self-interrupts at *timeout_s* via the in-process watchdog, so
-    a pathological candidate fails its own verdict without hanging the
-    pool.  ``original_ref`` is ``None`` (no intent check) or the
-    ``(fingerprint, original_source)`` pair resolved worker-side by
-    :func:`_worker_original_output`; with *incremental_intent* the
-    resolved table is further frozen into a cached
-    :class:`~repro.core.intent.PreparedIntent` so successive tasks skip
-    re-deriving the original side.
-    """
-    (
-        source,
-        data_dir,
-        sample_rows,
-        intent,
-        original_ref,
-        timeout_s,
-        incremental_intent,
-        verify_intent,
-    ) = args[:8]
-    dialect = args[8] if len(args) > 8 else None
-    result = run_script(
-        source,
-        data_dir=data_dir,
-        sample_rows=sample_rows,
-        timeout_s=timeout_s,
-        dialect=dialect,
-    )
-    if not result.ok or result.output is None:
-        return False
-    if intent is None:
-        return True
-    original_output = _worker_original_output(
-        original_ref, data_dir, sample_rows, timeout_s, dialect=dialect
-    )
-    if original_output is None:
-        return False
-    if incremental_intent:
-        prepared = _worker_prepared_intent(
-            original_ref[0], intent, original_output, verify_intent
-        )
-        _, ok = prepared.check(result.output)
-    else:
-        _, ok = intent.check(original_output, result.output)
-    return ok
-
-
-def _shard_verify_task(payload, resident) -> bool:
+def _shard_verify_task(payload, resident) -> Tuple[bool, bool]:
     """Shard-engine constraint check for one candidate (see
     :mod:`repro.sandbox.shards`; registered there as kind ``"verify"``).
 
-    Unlike :func:`_verify_candidate_task` (the stateless-pool ancestor,
-    kept as the task's serial-equivalent and for direct testing), this
-    runs the candidate on the shard's *resident*
+    Runs the candidate on the shard's *resident*
     :class:`~repro.sandbox.incremental.IncrementalExecutor` — shard
     affinity routes candidates with a shared prefix here precisely so this
     executor's snapshot LRU hits across waves — and resolves the script
-    texts from the worker's content-addressed source store instead of the
-    task payload.  The original-output and prepared-intent caches are the
-    same worker-resident LRUs the old path used; they now live as long as
-    the shard process.  Only a verdict crosses back to the parent.
+    texts from the worker's content-addressed source store: the candidate
+    by ``source_sha``, the original by ``base_sha`` (the wave's base).
+    The original output and its prepared intent state come from the
+    worker-resident LRUs above, which live as long as the shard process.
+    Only ``(verdict, timed_out)`` crosses back to the parent.
     """
     from ..sandbox import shards
 
@@ -232,33 +159,28 @@ def _shard_verify_task(payload, resident) -> bool:
     )
     result = executor.run_script(source)
     if not result.ok or result.output is None:
-        return False
+        return False, result.timed_out
     intent = payload.get("intent")
     if intent is None:
-        return True
-    original_source = shards.resolve_source(resident, payload["original_sha"])
+        return True, False
+    original_source = shards.resolve_source(resident, payload["base_sha"])
     original_output = _worker_original_output(
         (payload["fingerprint"], original_source),
         payload["data_dir"],
         payload["sample_rows"],
         payload.get("exec_timeout_s"),
-        payload.get("output_cache_limit"),
         payload.get("dialect"),
     )
     if original_output is None:
-        return False
-    if payload.get("incremental_intent"):
-        prepared = _worker_prepared_intent(
-            payload["fingerprint"],
-            intent,
-            original_output,
-            payload.get("verify_intent", False),
-            payload.get("intent_cache_limit"),
-        )
-        _, ok = prepared.check(result.output)
-    else:
-        _, ok = intent.check(original_output, result.output)
-    return bool(ok)
+        return False, False
+    prepared = _worker_prepared_intent(
+        payload["fingerprint"],
+        intent,
+        original_output,
+        payload.get("verify_intent", False),
+    )
+    _, ok = prepared.check(result.output)
+    return bool(ok), False
 
 
 class StandardizationError(ScriptError):
@@ -332,8 +254,9 @@ class LucidScript:
         the pool's ``config.retrieval_k`` nearest neighbours of each
         query script (see ``_ensure_search_space``).
         Raw texts route through the process-wide content-addressed warm
-        cache when ``config.corpus_cache`` is on, so repeated
-        constructions over the same corpus skip the offline phase.
+        cache, so repeated constructions over the same corpus skip the
+        offline phase (``config.verify_index`` audits the result against
+        a from-scratch build).
     data_dir:
         Directory holding the dataset's CSV files; scripts' ``read_csv``
         paths are resolved against it.
@@ -411,15 +334,11 @@ class LucidScript:
             vocabulary = corpus.to_vocabulary()
         elif isinstance(corpus, CorpusVocabulary):
             vocabulary = corpus
-        elif self.config.corpus_cache:
+        else:
             index = cached_index(corpus, dialect=self.dialect.name)
             if self.config.verify_index:
                 index.verify()
             vocabulary = index.to_vocabulary()
-        else:
-            vocabulary = CorpusVocabulary.from_scripts(
-                corpus, dialect=self._lang_dialect
-            )
         return vocabulary, corpus_cache_counters().delta(before)
 
     def _ensure_search_space(self, script: str) -> None:
@@ -481,13 +400,12 @@ class LucidScript:
     ) -> Optional[PreparedIntent]:
         """The content-addressed verification state for this original.
 
-        None when the intent constraint is disabled or
-        ``LSConfig.incremental_intent`` is off (callers then take the
-        naive pairwise path).  Reuses (and re-points the counters of) a
-        cached prepared state when the original's content fingerprint and
-        the intent's configuration both match.
+        None when the intent constraint is disabled.  Reuses (and
+        re-points the counters of) a cached prepared state when the
+        original's content fingerprint and the intent's configuration
+        both match.
         """
-        if self.intent is None or not self.config.incremental_intent:
+        if self.intent is None:
             return None
         key = (table_fingerprint(original_output), self.intent.cache_key())
         prepared = self._intent_cache.peek(key)
@@ -505,7 +423,7 @@ class LucidScript:
             prepared.verify = self.config.verify_intent
         return prepared
 
-    def _shared_executor(self) -> Optional[IncrementalExecutor]:
+    def _shared_executor(self) -> IncrementalExecutor:
         """One incremental executor per (data_dir, sample_rows, dialect).
 
         Shared between the beam search and constraint verification — and
@@ -514,8 +432,6 @@ class LucidScript:
         sampling (or dialect) changes — snapshots are only valid within
         one setting.
         """
-        if not self.config.incremental_exec:
-            return None
         if (
             self._executor is None
             or self._executor.sample_rows != self.config.sample_rows
@@ -596,17 +512,7 @@ class LucidScript:
 
     # ----------------------------------------------------------------- helpers
     def _run(self, source: str) -> Optional[DataFrame]:
-        executor = self._shared_executor()
-        if executor is not None:
-            result = executor.run_script(source)
-        else:
-            result = run_script(
-                source,
-                data_dir=self.data_dir,
-                sample_rows=self.config.sample_rows,
-                timeout_s=self.config.exec_timeout_s,
-                dialect=self.dialect,
-            )
+        result = self._shared_executor().run_script(source)
         return result.output if result.ok else None
 
     def _fold_corpus_stats(self, stats: SearchStats) -> None:
@@ -657,38 +563,33 @@ class LucidScript:
         can never make the script less standard (Table 5: min = 0.0).
 
         With ``parallel_workers > 1``, waves of candidates are checked
-        speculatively on the process pool, but the winner is still the
+        speculatively on the shard engine, but the winner is still the
         first valid candidate in score order — identical to the serial
         walk for any worker count.  A candidate that exceeds its execution
         budget simply fails verification (serial: the watchdog interrupts
         it; parallel: its worker self-interrupts, or the parent kills and
-        respawns a wedged pool).
+        respawns a wedged shard).
         """
         stats = search.stats
         start = time.perf_counter()
         prepared = self._prepared_intent(original_output, intent_counters)
         try:
             if self.config.parallel_workers > 1 and len(candidates) > 2:
-                speculative = self._verify_parallel(
-                    candidates, original_source, search
+                winner = self._verify_parallel(
+                    candidates, original_source, prepared, search
                 )
-                if speculative is not None:
-                    if self.config.verify_parallel:
-                        serial = self._serial_walk(
-                            candidates, original_source, original_output, prepared
-                        )
-                        if serial is None or serial.source() != speculative.source():
-                            from ..sandbox.shards import ParallelMismatchError
+                if self.config.verify_parallel:
+                    serial = self._serial_walk(candidates, original_source, prepared)
+                    if serial is not winner:
+                        from ..sandbox.shards import ParallelMismatchError
 
-                            raise ParallelMismatchError(
-                                "verify_parallel: sharded winner "
-                                f"{speculative.source()!r} != serial winner "
-                                f"{serial.source() if serial else None!r}"
-                            )
-                    return speculative
-            winner = self._serial_walk(
-                candidates, original_source, original_output, prepared
-            )
+                        raise ParallelMismatchError(
+                            "verify_parallel: sharded winner "
+                            f"{winner.source() if winner else None!r} != serial "
+                            f"winner {serial.source() if serial else None!r}"
+                        )
+            else:
+                winner = self._serial_walk(candidates, original_source, prepared)
             if winner is None:
                 raise StandardizationError(
                     "no candidate (not even the original) survived verification"
@@ -697,163 +598,102 @@ class LucidScript:
         finally:
             stats.verify_constraints_s += time.perf_counter() - start
 
+    def _satisfies(self, source: str, prepared: Optional[PreparedIntent]) -> bool:
+        """Does one candidate execute and keep the user's intent?"""
+        output = self._run(source)
+        if output is None:
+            return False
+        return prepared is None or prepared.check(output)[1]
+
     def _serial_walk(
         self,
         candidates: List[Candidate],
         original_source: str,
-        original_output: DataFrame,
         prepared: Optional[PreparedIntent],
     ) -> Optional[Candidate]:
         """The always-correct serial VerifyAllConstraints walk.
 
         Returns the first candidate (in score order) that satisfies every
-        constraint, or None if nothing survives.  Both the parallel path's
-        fallback and the ``verify_parallel`` audit reduce to this.
+        constraint, or None if nothing survives.  The ``verify_parallel``
+        audit compares the sharded winner against this walk.
         """
         for candidate in candidates:
             source = candidate.source()
-            if source == original_source:
+            if source == original_source or self._satisfies(source, prepared):
                 return candidate
-            output = self._run(source)
-            if output is None:
-                continue
-            if self.intent is not None:
-                if prepared is not None:
-                    _, ok = prepared.check(output)
-                else:
-                    _, ok = self.intent.check(original_output, output)
-                if not ok:
-                    continue
-            return candidate
         return None
 
     def _verify_parallel(
         self,
         candidates: List[Candidate],
         original_source: str,
+        prepared: Optional[PreparedIntent],
         search: BeamSearch,
     ) -> Optional[Candidate]:
-        """Wave-parallel VerifyAllConstraints; None means "fall back serial".
+        """Wave-parallel VerifyAllConstraints over :func:`run_wave`.
 
-        Each wave batches the next ``2 × workers`` candidates (stopping at
-        the original script, which is trivially valid) onto the persistent
-        shard engine and takes the first valid verdict in score order.
-        Tasks are content-addressed end to end: the candidate ships as an
-        O(delta) line splice against the original (already resident on the
-        shard after the first wave), and the original output table never
-        crosses the process boundary at all — workers resolve a
-        ``(fingerprint, original_source)`` reference against their
-        resident caches, recomputing at most once per worker.  Shard
-        affinity keeps candidates sharing a prefix on the shard whose
-        resident incremental executor has that prefix snapshotted.  With
-        an execution budget set, a shard that does not answer in time is
-        declared hung: its candidate fails verification, the shard is
-        hard-killed and respawned, and the wave continues — until the
-        respawn budget runs out, at which point (as for any other engine
-        failure) the speculation is abandoned and the serial walk takes
-        over.
+        Each wave takes the next ``2 × workers`` candidates (stopping at
+        the original script, which is trivially valid) and returns the
+        first valid verdict in score order.  The wave's base is the
+        original, so candidates ship as O(delta) line splices against it,
+        and the original output table never crosses the process boundary:
+        workers resolve a ``(fingerprint, original_source)`` reference
+        against their resident caches, recomputing at most once per
+        worker.  Whatever the engine leaves unanswered (respawn budget
+        spent, engine failure) is checked here by the serial walk's
+        per-candidate body, so a degraded wave re-checks only those
+        candidates.  One respawn budget spans all waves.
         """
-        from ..sandbox import shards
-
         config = self.config
         workers = config.parallel_workers
         wave_size = max(2, workers * 2)
-        timeout_s = config.exec_timeout_s
-        fingerprint = (
-            None
-            if self.intent is None
-            else _original_output_fingerprint(
-                original_source, self.data_dir, config.sample_rows, config.dialect
-            )
-        )
-        original_sha = shards.sha1_text(original_source)
-        parent_budget = timeout_s * 2 + 1.0 if timeout_s is not None else None
+        payload = {
+            "fingerprint": (
+                None
+                if self.intent is None
+                else _original_output_fingerprint(
+                    original_source, self.data_dir, config.sample_rows, config.dialect
+                )
+            ),
+            "data_dir": self.data_dir,
+            "sample_rows": config.sample_rows,
+            "intent": self.intent,
+            "exec_timeout_s": config.exec_timeout_s,
+            "statement_timeout_s": config.statement_timeout_s,
+            "snapshot_budget": config.snapshot_budget,
+            "verify_intent": config.verify_intent,
+            "dialect": config.dialect,
+        }
         respawn_budget = config.pool_respawn_limit
         position = 0
-        try:
-            engine = get_worker_pool(workers)
-            engine.source_cache_limit = config.worker_source_cache_limit
-            while position < len(candidates):
-                wave: List[Candidate] = []
-                terminator = None
-                for candidate in candidates[position:position + wave_size]:
-                    if candidate.source() == original_source:
-                        terminator = candidate
-                        break
-                    wave.append(candidate)
-                tasks = []
-                for candidate in wave:
-                    source = candidate.source()
-                    sha = shards.sha1_text(source)
-                    tasks.append(
-                        shards.ShardTask(
-                            kind="verify",
-                            payload={
-                                "source_sha": sha,
-                                "original_sha": (
-                                    original_sha if self.intent is not None else None
-                                ),
-                                "fingerprint": fingerprint,
-                                "data_dir": self.data_dir,
-                                "sample_rows": config.sample_rows,
-                                "intent": self.intent,
-                                "exec_timeout_s": timeout_s,
-                                "statement_timeout_s": config.statement_timeout_s,
-                                "snapshot_budget": config.snapshot_budget,
-                                "incremental_intent": config.incremental_intent,
-                                "verify_intent": config.verify_intent,
-                                "output_cache_limit": config.worker_output_cache_limit,
-                                "intent_cache_limit": config.worker_intent_cache_limit,
-                                "dialect": config.dialect,
-                            },
-                            sources=(
-                                (original_sha, original_source, None, None),
-                                (sha, source, original_sha, original_source),
-                            ),
-                            affinity=(
-                                shards.prefix_affinity(source, original_source)
-                                if config.shard_affinity
-                                else None
-                            ),
-                        )
-                    )
-                report = BatchReport()
-                outcomes, used = engine.run_batch(
-                    tasks,
-                    parent_budget_s=parent_budget,
-                    respawn_limit=respawn_budget,
-                    report=report,
-                )
-                respawn_budget -= used
-                search.stats.n_worker_respawns += report.respawns
-                search.stats.n_shard_hits += report.shard_hits
-                search.stats.n_shard_migrations += report.shard_migrations
-                search.stats.bytes_shipped += report.bytes_shipped
-                verdicts: List[bool] = []
-                degraded = False
-                for outcome in outcomes:
-                    if outcome is None or outcome[0] == "failed":
-                        degraded = True
-                        break
-                    if outcome[0] == "hung":
-                        search._direct_timeouts += 1
-                        verdicts.append(False)
-                    else:
-                        verdicts.append(bool(outcome[1]))
-                if degraded:
-                    search.stats.n_degraded_waves += 1
-                    return None  # degrade to the serial walk
-                for candidate, ok in zip(wave, verdicts):
-                    if ok:
-                        return candidate
-                if terminator is not None:
-                    return terminator
-                position += len(wave)
-        except StandardizationError:
-            raise
-        except Exception:  # noqa: BLE001 - degrade to the serial walk
-            search.stats.n_degraded_waves += 1
-            return None
+        while position < len(candidates):
+            wave: List[Candidate] = []
+            terminator = None
+            for candidate in candidates[position:position + wave_size]:
+                if candidate.source() == original_source:
+                    terminator = candidate
+                    break
+                wave.append(candidate)
+            report = BatchReport()
+            verdicts, used = run_wave(
+                "verify",
+                [candidate.source() for candidate in wave],
+                original_source,
+                payload,
+                lambda source: self._satisfies(source, prepared),
+                workers,
+                timeout_s=config.exec_timeout_s,
+                respawn_limit=max(respawn_budget, 0),
+                report=report,
+            )
+            respawn_budget -= used
+            search.fold_batch_report(report)
+            for candidate, ok in zip(wave, verdicts):
+                if ok:
+                    return candidate
+            if terminator is not None:
+                return terminator
+            position += len(wave)
         return None
 
     def _final_intent(
@@ -872,7 +712,4 @@ class LucidScript:
         output = self._run(best.source())
         if output is None:  # pragma: no cover - verified above
             return None, False
-        prepared = self._prepared_intent(original_output, intent_counters)
-        if prepared is not None:
-            return prepared.check(output)
-        return self.intent.check(original_output, output)
+        return self._prepared_intent(original_output, intent_counters).check(output)

@@ -21,8 +21,8 @@ Three layers, all content-addressed:
   and reused by every request.
 
 Every layer only ever returns structures that are bit-identical to a
-cold ``CorpusVocabulary.from_scripts`` build, so the cache is a pure
-speed knob (``LSConfig.corpus_cache``).
+cold ``CorpusVocabulary.from_scripts`` build, so the cache only changes
+speed (``LSConfig.verify_index`` audits an index against that build).
 
 The index-cache key is the *ordered* address sequence, NOT a sorted
 set: corpus order is semantic (it drives successor-Counter tie order,

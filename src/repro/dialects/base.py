@@ -10,11 +10,9 @@ of conventions that used to be hardcoded across three layers:
   statements;
 * **sandbox shim** — the module table scripts execute against, the
   loader resolver that maps script paths onto the run's data directory,
-  and the output-capture convention (which variable is "the" output);
-* **intent contract** — how a captured output is fingerprinted and
-  compared between the original script and a candidate.
+  and the output-capture convention (which variable is "the" output).
 
-An :class:`ApiDialect` owns all three.  :class:`~repro.dialects
+An :class:`ApiDialect` owns both.  :class:`~repro.dialects
 .pandas_dialect.PandasDialect` extracts the historical behavior verbatim
 (bit-identical by construction — the ``verify_dialect`` audit replays a
 pre-refactor recorded fixture to prove it), and any new dialect plugs in
@@ -155,7 +153,7 @@ def _last_assigned_variable(source: str) -> Optional[str]:
 
 
 class ApiDialect:
-    """One standardizable API surface: call surface + sandbox shim + intent.
+    """One standardizable API surface: call surface + sandbox shim.
 
     Subclasses override the class attributes (and, when the defaults do
     not fit, the methods).  Dialects are stateless and shared
@@ -216,15 +214,6 @@ class ApiDialect:
             return namespace[last]
         frames = [v for v in namespace.values() if isinstance(v, DataFrame)]
         return frames[-1] if frames else None
-
-    # --------------------------------------------------------- intent contract
-    def fingerprint_output(self, output) -> str:
-        """Content address of a captured output, for intent short-circuits
-        and worker-side caches.  The default covers any dialect whose
-        output is a table (both shipped dialects)."""
-        from ..core.intent import table_fingerprint
-
-        return table_fingerprint(output)
 
     # ----------------------------------------------------------------- display
     def describe(self) -> str:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..lang import CorpusVocabulary, ScriptError, lemmatize
 
@@ -160,7 +159,13 @@ def _normalize(qualities: Dict[str, float]) -> Dict[str, float]:
 def significance_against(
     outcomes: Dict[str, StudyOutcome], ls_method: str = "LS"
 ) -> Dict[str, float]:
-    """p-values of the standardness t-test: LS vs each baseline."""
+    """p-values of the standardness t-test: LS vs each baseline.
+
+    Needs scipy (a ``dev`` extra, imported here so the rest of the
+    package runs without it).
+    """
+    from scipy import stats as scipy_stats
+
     ls = outcomes[ls_method]
     pvalues: Dict[str, float] = {}
     for method, outcome in outcomes.items():

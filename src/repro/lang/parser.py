@@ -355,10 +355,6 @@ class EdgeDelta:
     statement: Optional[Statement]
     changes: Dict[Tuple[str, str], int]
 
-    @property
-    def touched_edges(self) -> int:
-        return len(self.changes)
-
 
 #: Sentinel writer identity for a statement being virtually inserted; must
 #: compare unequal to every real position so per-reader dedup treats the
@@ -382,8 +378,7 @@ class EdgeState:
 
     instead of re-walking the whole script.  Scoring a candidate
     transformation therefore costs O(edges touched), not
-    O(script × vocabulary) — the engine behind
-    ``LSConfig.incremental_scoring``.
+    O(script × vocabulary) — the engine behind GetSteps scoring.
     """
 
     __slots__ = ("statements", "counts", "_writers", "_readers", "_incoming_memo")

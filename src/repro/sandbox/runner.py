@@ -12,9 +12,11 @@ convention.
 The sandbox is the oracle behind LucidScript's *execution constraint*: a
 candidate script is valid iff :func:`run_script` reports success.  Two
 higher-throughput entry points sit on top of the single-script path:
-:func:`check_executes_batch` fans a wave of candidate checks out over the
-persistent shard engine (the substrate modules are pure Python, so
-threads would be GIL-bound; see :mod:`repro.sandbox.shards`), and
+:func:`run_wave` fans a wave of candidate checks (execution checks from
+:func:`check_executes_batch`, constraint verification from the
+standardizer) out over the persistent shard engine (the substrate
+modules are pure Python, so threads would be GIL-bound; see
+:mod:`repro.sandbox.shards`), and
 :class:`repro.sandbox.incremental.IncrementalExecutor` resumes candidates
 from snapshots of shared statement prefixes.
 """
@@ -27,11 +29,10 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import resolve_dialect
 from ..dialects import base as _dialect_base
-from ..dialects.base import TableLoader, _last_assigned_variable
 from ..minipandas import DataFrame
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "run_script",
     "check_executes",
     "check_executes_batch",
+    "run_wave",
 ]
 
 
@@ -175,20 +177,6 @@ class ExecutionResult:
 #: and long-lived executors clear/inspect it through this module).
 _CSV_CACHE = _dialect_base._CSV_CACHE
 _load_table = _dialect_base.load_table
-
-#: Historical name for the dialect loader (pandas read_csv resolution).
-_ReadCsvResolver = TableLoader
-
-#: Historical name for the output-convention helper.
-_last_dataframe_variable = _last_assigned_variable
-
-
-def _select_output(
-    namespace: Dict[str, Any], source: str, dialect=None
-) -> Optional[DataFrame]:
-    """Pick the script's output table per the dialect's convention
-    (for pandas: 'df' first, else the last assigned frame, else any)."""
-    return resolve_dialect(dialect).select_output(namespace, source)
 
 
 def _make_guarded_open(data_dir: Optional[str]):
@@ -357,8 +345,7 @@ _HUNG_WORKER_GRACE_S = 1.0
 
 @dataclass
 class BatchReport:
-    """Fault and shipping accounting for one :func:`check_executes_batch`
-    (or sharded verification) call.
+    """Fault and shipping accounting for one :func:`run_wave` call.
 
     Callers (the beam search) fold these into ``SearchStats`` so a run's
     breakdown shows how often budgets fired, the engine self-healed, and
@@ -371,24 +358,6 @@ class BatchReport:
     shard_hits: int = 0  #: tasks placed on their affinity-preferred shard
     shard_migrations: int = 0  #: affinity overridden by load balancing
     bytes_shipped: int = 0  #: source payload bytes actually sent to workers
-
-
-def _check_executes_task(args):
-    """Top-level (picklable) serial-equivalent of the sharded exec check.
-
-    Returns ``(verdict, timed_out)`` so the parent can account worker-side
-    budget expiries separately from ordinary script failures.
-    """
-    source, data_dir, sample_rows, timeout_s = args[:4]
-    dialect = args[4] if len(args) > 4 else None
-    result = run_script(
-        source,
-        data_dir=data_dir,
-        sample_rows=sample_rows,
-        timeout_s=timeout_s,
-        dialect=dialect,
-    )
-    return bool(result.ok and result.output is not None), result.timed_out
 
 
 def get_worker_pool(workers: int):
@@ -423,27 +392,99 @@ def kill_worker_pool() -> None:
 atexit.register(kill_worker_pool)
 
 
-def _serial_checks(
+def run_wave(
+    kind: str,
     sources: Sequence[str],
-    data_dir: Optional[str],
-    sample_rows: Optional[int],
-    timeout_s: Optional[float],
-    report: Optional[BatchReport],
-    dialect=None,
-) -> List[bool]:
-    verdicts = []
+    base: str,
+    payload: Dict[str, Any],
+    serial_check: Callable[[str], bool],
+    workers: int,
+    timeout_s: Optional[float] = None,
+    respawn_limit: int = 1,
+    report: Optional[BatchReport] = None,
+) -> Tuple[List[bool], int]:
+    """Check one wave of *sources* on the shard engine, in input order.
+
+    The one executor behind every sharded constraint check (task *kind*
+    ``"exec_check"`` or ``"verify"``, see :mod:`repro.sandbox.shards`).
+    Each source ships as an O(delta) line splice against *base* (the
+    wave's common ancestor, resident on the shard after its first
+    shipment) and lands on the shard its shared prefix with *base*
+    hashes to.  Every task receives *payload* plus ``source_sha`` and
+    ``base_sha`` and answers ``(verdict, timed_out)``.
+
+    Fault handling, shared by both kinds:
+
+    * a shard that does not answer within ``2·timeout_s`` plus a grace
+      period is declared hung: its running source fails with a timeout
+      counted, the shard is hard-killed and respawned, and the wave goes
+      on while *respawn_limit* allows;
+    * any exception while spawning the engine or running the batch
+      kills the engine (the next wave respawns it) and leaves the wave
+      unanswered;
+    * each unanswered source is answered by ``serial_check(source)``,
+      which the caller supplies, and the wave counts as degraded.
+
+    Returns the verdicts and the respawns the wave used.
+    """
+    from . import shards
+
+    report = report if report is not None else BatchReport()
+    if not sources:
+        return [], 0
+    base_sha = shards.sha1_text(base)
+    tasks = []
     for source in sources:
-        result = run_script(
-            source,
-            data_dir=data_dir,
-            sample_rows=sample_rows,
-            timeout_s=timeout_s,
-            dialect=dialect,
+        sha = shards.sha1_text(source)
+        if sha == base_sha:
+            ship = ((sha, source, None, None),)
+        else:
+            ship = ((base_sha, base, None, None), (sha, source, base_sha, base))
+        tasks.append(
+            shards.ShardTask(
+                kind=kind,
+                payload=dict(payload, source_sha=sha, base_sha=base_sha),
+                sources=ship,
+                affinity=shards.prefix_affinity(source, base),
+            )
         )
-        if report is not None and result.timed_out:
+
+    # the parent waits out the worker's own budget (plus slack for queueing
+    # behind other tasks on the same shard) before calling it hung
+    parent_budget = (
+        timeout_s * 2 + _HUNG_WORKER_GRACE_S if timeout_s is not None else None
+    )
+    outcomes: List[Optional[tuple]] = [None] * len(tasks)
+    respawns = 0
+    try:
+        outcomes, respawns = get_worker_pool(workers).run_batch(
+            tasks,
+            parent_budget_s=parent_budget,
+            respawn_limit=respawn_limit,
+            report=report,
+        )
+    except Exception:  # noqa: BLE001 - broken engine at spawn time or mid-batch
+        kill_worker_pool()
+        report.respawns += 1
+        respawns += 1
+
+    verdicts: List[bool] = []
+    degraded = False
+    for source, outcome in zip(sources, outcomes):
+        if outcome is None or outcome[0] == "failed":
+            degraded = True
+            verdicts.append(bool(serial_check(source)))
+        elif outcome[0] == "ok":
+            verdict, worker_timed_out = outcome[1]
+            verdicts.append(bool(verdict))
+            if worker_timed_out:
+                report.timeouts += 1
+        else:  # ("hung",): the parent killed the shard running this source
+            verdicts.append(False)
             report.timeouts += 1
-        verdicts.append(bool(result.ok and result.output is not None))
-    return verdicts
+    if degraded:
+        report.degraded += 1
+    return verdicts, respawns
 
 
 def check_executes_batch(
@@ -456,8 +497,6 @@ def check_executes_batch(
     report: Optional[BatchReport] = None,
     statement_timeout_s: Optional[float] = None,
     snapshot_budget: int = 64,
-    shard_affinity: bool = True,
-    source_cache_limit: Optional[int] = None,
     affinity_base: Optional[str] = None,
     dialect=None,
 ) -> List[bool]:
@@ -465,125 +504,52 @@ def check_executes_batch(
 
     With ``workers <= 1`` this is exactly a serial loop over
     :func:`run_script` (deterministic, no processes involved).  With more
-    workers the checks fan out over the persistent shard engine
-    (:mod:`repro.sandbox.shards`): each candidate is content-addressed and
-    shipped as an O(delta) line splice against *affinity_base* (the wave's
-    common ancestor — defaults to the first source), lands on the shard
-    whose resident executor most likely holds its prefix snapshot (when
-    *shard_affinity* is on), and executes on that shard's long-lived
-    :class:`~repro.sandbox.incremental.IncrementalExecutor` configured with
-    *statement_timeout_s* / *snapshot_budget*.  Verdicts come back in
-    input order, bit-identical to the serial loop for any worker count.
-
-    Fault tolerance (hang handling opt-in via *timeout_s*):
-
-    * each worker runs its script under the in-process watchdog, so an
-      unbounded pure-Python loop fails its own check without touching
-      the engine;
-    * a shard that does not answer within ``2·timeout_s`` plus a grace
-      period (stuck in a C call, or defeating the watchdog) is declared
-      hung: its running script is marked failed, the shard is hard-killed
-      and respawned with its remaining tasks re-dispatched — one bad
-      candidate never poisons the wave;
-    * engine-level failures (broken worker, unpicklable payload) retry
-      while respawn budget remains;
-    * once *respawn_limit* respawns are spent, the batch degrades to the
-      always-correct serial loop (still budget-guarded) for whatever is
-      left unanswered.
+    workers the wave runs through :func:`run_wave` against
+    *affinity_base* (defaults to the first source): each shard executes
+    its candidates on a long-lived
+    :class:`~repro.sandbox.incremental.IncrementalExecutor` configured
+    with *statement_timeout_s* / *snapshot_budget*, and the cold serial
+    check answers whatever the engine leaves unanswered.  Verdicts come
+    back in input order, bit-identical to the serial loop for any worker
+    count; each worker also runs its script under the in-process
+    watchdog, so an unbounded pure-Python loop fails its own check.
 
     *report*, when provided, accumulates timeout/respawn/degradation
     counts plus shard-affinity and bytes-shipped accounting.
     """
     sources = list(sources)
     dialect_name = resolve_dialect(dialect).name
-    if workers <= 1 or len(sources) < 2:
-        return _serial_checks(
-            sources, data_dir, sample_rows, timeout_s, report, dialect=dialect_name
-        )
 
-    from . import shards
-
-    base = affinity_base if affinity_base is not None else sources[0]
-    base_sha = shards.sha1_text(base)
-    tasks = []
-    for source in sources:
-        sha = shards.sha1_text(source)
-        if sha == base_sha:
-            ship = ((sha, source, None, None),)
-        else:
-            ship = ((base_sha, base, None, None), (sha, source, base_sha, base))
-        tasks.append(
-            shards.ShardTask(
-                kind="exec_check",
-                payload={
-                    "source_sha": sha,
-                    "data_dir": data_dir,
-                    "sample_rows": sample_rows,
-                    "exec_timeout_s": timeout_s,
-                    "statement_timeout_s": statement_timeout_s,
-                    "snapshot_budget": snapshot_budget,
-                    "dialect": dialect_name,
-                },
-                sources=ship,
-                affinity=(
-                    shards.prefix_affinity(source, base) if shard_affinity else None
-                ),
-            )
-        )
-
-    # the parent waits out the worker's own budget (plus slack for queueing
-    # behind other tasks on the same shard) before calling it hung
-    parent_budget = (
-        timeout_s * 2 + _HUNG_WORKER_GRACE_S if timeout_s is not None else None
-    )
-    outcomes: List[Optional[tuple]] = [None] * len(sources)
-    try:
-        engine = get_worker_pool(workers)
-    except Exception:  # noqa: BLE001 - broken engine at spawn time
-        kill_worker_pool()
-        if report is not None:
-            report.respawns += 1
-    else:
-        if source_cache_limit is not None:
-            engine.source_cache_limit = source_cache_limit
-        try:
-            outcomes, _ = engine.run_batch(
-                tasks,
-                parent_budget_s=parent_budget,
-                respawn_limit=respawn_limit,
-                report=report,
-            )
-        except Exception:  # noqa: BLE001 - engine failure mid-batch
-            kill_worker_pool()
-            if report is not None:
-                report.respawns += 1
-            outcomes = [None] * len(sources)
-
-    results: List[Optional[bool]] = [None] * len(sources)
-    pending: List[int] = []
-    for i, outcome in enumerate(outcomes):
-        if outcome is None or outcome[0] == "failed":
-            pending.append(i)
-        elif outcome[0] == "ok":
-            verdict, worker_timed_out = outcome[1]
-            results[i] = bool(verdict)
-            if worker_timed_out and report is not None:
-                report.timeouts += 1
-        else:  # ("hung",): the parent killed the shard running this script
-            results[i] = False
-            if report is not None:
-                report.timeouts += 1
-    if pending:
-        if report is not None:
-            report.degraded += 1
-        remainder = _serial_checks(
-            [sources[i] for i in pending],
-            data_dir,
-            sample_rows,
-            timeout_s,
-            report,
+    def cold_check(source: str) -> bool:
+        result = run_script(
+            source,
+            data_dir=data_dir,
+            sample_rows=sample_rows,
+            timeout_s=timeout_s,
             dialect=dialect_name,
         )
-        for i, verdict in zip(pending, remainder):
-            results[i] = verdict
-    return [bool(v) for v in results]
+        if report is not None and result.timed_out:
+            report.timeouts += 1
+        return bool(result.ok and result.output is not None)
+
+    if workers <= 1 or len(sources) < 2:
+        return [cold_check(source) for source in sources]
+    verdicts, _ = run_wave(
+        "exec_check",
+        sources,
+        affinity_base if affinity_base is not None else sources[0],
+        {
+            "data_dir": data_dir,
+            "sample_rows": sample_rows,
+            "exec_timeout_s": timeout_s,
+            "statement_timeout_s": statement_timeout_s,
+            "snapshot_budget": snapshot_budget,
+            "dialect": dialect_name,
+        },
+        cold_check,
+        workers,
+        timeout_s=timeout_s,
+        respawn_limit=respawn_limit,
+        report=report,
+    )
+    return verdicts

@@ -62,8 +62,8 @@ __all__ = [
     "resolve_source",
 ]
 
-#: Default capacity of each worker's sha1 → source store (and the parent's
-#: per-shard mirror of it); ``LSConfig.worker_source_cache_limit`` overrides.
+#: Capacity of each worker's sha1 → source store (and the parent's
+#: per-shard mirror of it).
 SOURCE_CACHE_LIMIT = 256
 
 #: Resident incremental executors kept per worker (settings rarely change
@@ -156,7 +156,7 @@ def _apply_line_ops(base_lines: List[str], ops) -> List[str]:
     return out
 
 
-def _encode_sources(mirror: LRUCache, sources, capacity: int):
+def _encode_sources(mirror: LRUCache, sources):
     """Shipping instructions for one task against one shard's mirror.
 
     The mirror replays exactly the store operations the worker will
@@ -164,8 +164,6 @@ def _encode_sources(mirror: LRUCache, sources, capacity: int):
     order), so parent and worker evict identically and a ``ref`` can
     never point at an evicted entry.
     """
-    if capacity != mirror.capacity:
-        mirror.resize(capacity)
     instructions = []
     shipped = 0
     for sha, text, base_sha, base_text in sources:
@@ -317,22 +315,19 @@ def _shard_main(worker_id: int, inq, outq) -> None:
         message = inq.get()
         if message is None:
             break
-        task_id, kind, capacity, instructions, payload = message
+        batch, task_id, kind, instructions, payload = message
         try:
-            store = resident["sources"]
-            if capacity != store.capacity:
-                store.resize(capacity)
             for instruction in instructions:
-                _admit_source(store, instruction)
+                _admit_source(resident["sources"], instruction)
             outcome = ("ok", _task_fn(kind)(payload, resident))
         except _SourceMiss as miss:
             outcome = ("miss", miss.sha)
         except BaseException as exc:  # noqa: BLE001 - report, never die
             outcome = ("error", f"{type(exc).__name__}: {exc}")
         try:
-            outq.put((task_id, outcome))
+            outq.put((batch, task_id, outcome))
         except BaseException:  # noqa: BLE001 - unpicklable outcome
-            outq.put((task_id, ("error", "unpicklable task outcome")))
+            outq.put((batch, task_id, ("error", "unpicklable task outcome")))
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +361,9 @@ class ShardEngine:
             "fork" if "fork" in methods else None
         )
         self.workers = workers
-        self.source_cache_limit = SOURCE_CACHE_LIMIT
+        #: number of the batch in flight; workers echo it on every result
+        #: so answers left over from an aborted batch are recognized
+        self._batch = 0
         self._shards: List[_Shard] = [self._spawn(i) for i in range(workers)]
 
     # --------------------------------------------------------------- lifecycle
@@ -384,7 +381,7 @@ class ShardEngine:
             process=process,
             inq=inq,
             outq=outq,
-            mirror=LRUCache(self.source_cache_limit),
+            mirror=LRUCache(SOURCE_CACHE_LIMIT),
         )
 
     def alive(self) -> bool:
@@ -455,15 +452,12 @@ class ShardEngine:
         return assigned
 
     def _send(self, shard: _Shard, task_id: int, task: ShardTask, report) -> None:
-        instructions, shipped = _encode_sources(
-            shard.mirror, task.sources, self.source_cache_limit
-        )
+        instructions, shipped = _encode_sources(shard.mirror, task.sources)
         if report is not None:
             report.bytes_shipped += shipped
         if not shard.inflight:
             shard.last_activity = time.monotonic()
-        shard.inq.put((task_id, task.kind, self.source_cache_limit, instructions,
-                       task.payload))
+        shard.inq.put((self._batch, task_id, task.kind, instructions, task.payload))
         shard.inflight.append(task_id)
 
     def _fill_window(self, shard: _Shard, tasks: Sequence[ShardTask], report) -> None:
@@ -472,16 +466,25 @@ class ShardEngine:
             self._send(shard, task_id, tasks[task_id], report)
 
     def _drain(self, shard: _Shard):
-        """All results currently readable on *shard*'s outq (non-blocking)."""
+        """This batch's results readable on *shard*'s outq (non-blocking).
+
+        Results a worker finishes after its batch was aborted (an
+        unpicklable task, an exception in the caller) arrive tagged with
+        the old batch number and are discarded: task ids are batch-local
+        indices, so such a result would otherwise answer an unrelated
+        task of the current batch.
+        """
         received = []
         reader = getattr(shard.outq, "_reader", None)
         while shard.inflight:
             try:
                 if reader is not None and not reader.poll(0):
                     break
-                received.append(shard.outq.get())
+                batch, task_id, outcome = shard.outq.get()
             except Exception:  # noqa: BLE001 - broken queue: handled as death
                 break
+            if batch == self._batch and task_id in shard.inflight:
+                received.append((task_id, outcome))
         return received
 
     # -------------------------------------------------------------- run_batch
@@ -504,6 +507,7 @@ class ShardEngine:
         tasks = list(tasks)
         if not tasks:
             return [], 0
+        self._batch += 1
         outcomes: List[Optional[Tuple]] = [None] * len(tasks)
         answered = [False] * len(tasks)
         retries: Dict[int, int] = {}
@@ -520,8 +524,7 @@ class ShardEngine:
         def _absorb(shard: _Shard, received) -> None:
             nonlocal respawns
             for task_id, outcome in received:
-                if task_id in shard.inflight:
-                    shard.inflight.remove(task_id)
+                shard.inflight.remove(task_id)
                 shard.last_activity = time.monotonic()
                 tag = outcome[0]
                 if tag == "ok":

@@ -1,9 +1,10 @@
 """Bit-identity of the O(Δ) incremental scoring engine.
 
-``LSConfig.incremental_scoring`` must be a pure speed knob: every delta
-score equals the full recount *bit for bit* (not approximately), the
+GetSteps scores every proposal with the delta engine, which must match
+the full-recount oracle *bit for bit* (not approximately): the
 sufficient statistics evolve exactly, and a whole beam search returns the
-same candidates with the same scores whether the flag is on or off.
+same candidates with the same scores whether or not ``verify_scoring``
+checks each delta score against the recount.
 """
 
 import random
@@ -152,24 +153,24 @@ def workload():
 
 
 def test_search_results_identical_with_flag_on_and_off(workload):
+    """``verify_scoring`` on raises unless every delta score equals the
+    full recount, so equal results prove the oracle agrees throughout."""
     corpus, user = workload
-    on, stats_on = _run_search(corpus, user, incremental_scoring=True)
-    off, stats_off = _run_search(corpus, user, incremental_scoring=False)
-    assert on == off  # same candidates, same order, bit-identical scores
-    assert stats_on.n_delta_scores > 0
-    assert stats_off.n_delta_scores == 0
+    plain, stats = _run_search(corpus, user)
+    audited, audited_stats = _run_search(corpus, user, verify_scoring=True)
+    assert plain == audited  # same candidates, same order, bit-identical scores
+    assert stats.n_delta_scores > 0
+    assert audited_stats.n_delta_scores == stats.n_delta_scores
     # the root is the only mandatory full recount on the incremental path
-    assert stats_on.n_full_recounts >= 1
+    assert stats.n_full_recounts >= 1
 
 
 def test_verify_scoring_mode_runs_clean_and_reports_speedup(workload):
     """The cross-check mode recomputes everything twice and must never
     trip its own mismatch alarm on a healthy engine."""
     corpus, user = workload
-    verified, stats = _run_search(
-        corpus, user, incremental_scoring=True, verify_scoring=True
-    )
-    plain, _ = _run_search(corpus, user, incremental_scoring=True)
+    verified, stats = _run_search(corpus, user, verify_scoring=True)
+    plain, _ = _run_search(corpus, user)
     assert verified == plain
     assert stats.get_steps_speedup > 0.0
     assert "GetStepsSpeedup" in stats.breakdown()

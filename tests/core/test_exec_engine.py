@@ -7,6 +7,7 @@ import pytest
 from repro.core import BeamSearch, LSConfig, LucidScript, TableJaccardIntent
 from repro.core.entropy import RelativeEntropyScorer
 from repro.lang import CorpusVocabulary, parse_script
+from repro.sandbox import IncrementalExecutor, run_script
 
 
 @pytest.fixture()
@@ -19,10 +20,26 @@ def scorer(vocab):
     return RelativeEntropyScorer(vocab)
 
 
-def make_search(vocab, scorer, diabetes_dir, **config_kwargs):
+def make_search(vocab, scorer, diabetes_dir, exec_checker=None, **config_kwargs):
     defaults = dict(seq=6, beam_size=2, sample_rows=100)
     defaults.update(config_kwargs)
-    return BeamSearch(vocab, scorer, LSConfig(**defaults), data_dir=diabetes_dir)
+    return BeamSearch(
+        vocab,
+        scorer,
+        LSConfig(**defaults),
+        data_dir=diabetes_dir,
+        exec_checker=exec_checker,
+    )
+
+
+def cold_verdict(data_dir):
+    """The cold-execution oracle: CheckIfExecutes() via run_script."""
+
+    def check(source):
+        result = run_script(source, data_dir=data_dir, sample_rows=100)
+        return result.ok and result.output is not None
+
+    return check
 
 
 def _outcome(system, script):
@@ -91,8 +108,10 @@ class TestIncrementalSearch:
         self, vocab, scorer, diabetes_dir, alex_script
     ):
         statements = parse_script(alex_script).statements
-        cold = make_search(vocab, scorer, diabetes_dir, incremental_exec=False)
-        warm = make_search(vocab, scorer, diabetes_dir, incremental_exec=True)
+        cold = make_search(
+            vocab, scorer, diabetes_dir, exec_checker=cold_verdict(diabetes_dir)
+        )
+        warm = make_search(vocab, scorer, diabetes_dir)
         cold_result = [c.source() for c in cold.search(statements)]
         warm_result = [c.source() for c in warm.search(statements)]
         assert cold_result == warm_result
@@ -107,18 +126,28 @@ class TestDeterminism:
     """parallel_workers=1 must be bit-identical to the serial walk, and
     higher worker counts must agree with it for a fixed seed."""
 
-    def test_standardize_serial_matches_incremental_off(
-        self, diabetes_corpus, diabetes_dir, alex_script
+    def test_standardize_matches_cold_execution(
+        self, diabetes_corpus, diabetes_dir, alex_script, monkeypatch
     ):
-        config_off = LSConfig(
-            seq=4, beam_size=2, sample_rows=100, incremental_exec=False
+        config = LSConfig(seq=4, beam_size=2, sample_rows=100)
+        warm = _outcome(
+            LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config),
+            alex_script,
         )
-        config_on = LSConfig(
-            seq=4, beam_size=2, sample_rows=100, incremental_exec=True
-        )
-        off = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config_off)
-        on = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config_on)
-        assert _outcome(off, alex_script) == _outcome(on, alex_script)
+
+        def cold_run(executor, source, extra_globals=None):
+            return run_script(
+                source,
+                data_dir=executor.data_dir,
+                sample_rows=executor.sample_rows,
+                extra_globals=extra_globals,
+                dialect=executor.dialect,
+            )
+
+        # every phase (search, verification, final intent) runs cold
+        monkeypatch.setattr(IncrementalExecutor, "run_script", cold_run)
+        cold = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config)
+        assert _outcome(cold, alex_script) == warm
 
     def test_standardize_parallel_matches_serial(
         self, diabetes_corpus, diabetes_dir, alex_script
@@ -166,5 +195,4 @@ class TestConfigValidation:
     def test_defaults_are_serial_and_incremental(self):
         config = LSConfig()
         assert config.parallel_workers == 1
-        assert config.incremental_exec is True
         assert config.snapshot_budget == 64

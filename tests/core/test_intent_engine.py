@@ -317,18 +317,18 @@ class TestSearchParity:
     def test_incremental_matches_naive_search(
         self, diabetes_corpus, diabetes_dir, alex_script
     ):
-        on = self._run(
-            diabetes_corpus, diabetes_dir, alex_script, incremental_intent=True
+        # verify_intent raises unless every prepared delta equals the
+        # naive measure, so equal results prove the oracle agrees throughout
+        prepared = self._run(diabetes_corpus, diabetes_dir, alex_script)
+        audited = self._run(
+            diabetes_corpus, diabetes_dir, alex_script, verify_intent=True
         )
-        off = self._run(
-            diabetes_corpus, diabetes_dir, alex_script, incremental_intent=False
-        )
-        assert on.output_script == off.output_script
-        assert on.intent_delta == off.intent_delta
-        assert on.intent_satisfied == off.intent_satisfied
-        assert on.re_after == off.re_after
-        assert on.stats.n_intent_checks > 0
-        assert off.stats.n_intent_checks == 0
+        assert prepared.output_script == audited.output_script
+        assert prepared.intent_delta == audited.intent_delta
+        assert prepared.intent_satisfied == audited.intent_satisfied
+        assert prepared.re_after == audited.re_after
+        assert prepared.stats.n_intent_checks > 0
+        assert audited.stats.n_intent_checks == prepared.stats.n_intent_checks
 
     def test_verify_intent_audits_clean_full_search(
         self, diabetes_corpus, diabetes_dir, alex_script
@@ -337,7 +337,6 @@ class TestSearchParity:
             diabetes_corpus,
             diabetes_dir,
             alex_script,
-            incremental_intent=True,
             verify_intent=True,
         )
         assert result.stats.n_intent_checks > 0

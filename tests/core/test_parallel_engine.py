@@ -1,7 +1,10 @@
 """End-to-end tests for the parallel path on the sharded worker engine:
 standardize() bit-identity across worker counts, the verify_parallel
-audit mode, shard accounting on SearchStats, and the new LSConfig knobs.
+audit mode, shard accounting on SearchStats, and the bounds of the
+worker-resident caches.
 """
+
+import time
 
 import pytest
 
@@ -46,19 +49,38 @@ class TestBitIdentityAcrossWorkerCounts:
             else:
                 assert outcome == baseline, f"workers={workers}"
 
-    def test_affinity_off_does_not_change_results(
-        self, diabetes_corpus, diabetes_dir, alex_script
+    def test_standardize_identical_under_hung_worker_respawn(
+        self, diabetes_corpus, diabetes_dir, alex_script, monkeypatch
     ):
-        on = _system(
-            diabetes_corpus, diabetes_dir, parallel_workers=2, shard_affinity=True
-        )
+        from repro.core import standardizer
+        from repro.sandbox import shards
+
+        budget = dict(exec_timeout_s=0.5, pool_respawn_limit=1)
         kill_worker_pool()
-        off = _system(
-            diabetes_corpus, diabetes_dir, parallel_workers=2, shard_affinity=False
+        serial = _system(diabetes_corpus, diabetes_dir, **budget).standardize(
+            alex_script
         )
-        assert _outcome(on.standardize(alex_script)) == _outcome(
-            off.standardize(alex_script)
-        )
+        winner = serial.output_script
+        verify_task = standardizer._shard_verify_task
+
+        def hang_unless_winner(payload, resident):
+            # every candidate ahead of the serial winner is invalid, so a
+            # hung (hence failed) check there cannot change the outcome;
+            # time.sleep blocks in C, out of the worker watchdog's reach
+            if shards.resolve_source(resident, payload["source_sha"]) != winner:
+                time.sleep(60)
+            return verify_task(payload, resident)
+
+        # shard workers fork from this process, so they see the patch
+        monkeypatch.setattr(standardizer, "_shard_verify_task", hang_unless_winner)
+        monkeypatch.setattr(shards, "_RESOLVED_KINDS", {})
+        kill_worker_pool()
+        parallel = _system(
+            diabetes_corpus, diabetes_dir, parallel_workers=2, **budget
+        ).standardize(alex_script)
+        assert _outcome(parallel) == _outcome(serial)
+        assert parallel.stats.n_worker_respawns >= 1
+        assert parallel.stats.n_exec_timeouts >= 1
 
 
 class TestVerifyParallelAudit:
@@ -103,36 +125,22 @@ class TestShardAccounting:
         assert stats.n_shard_hits == 0
 
 
-class TestWorkerCacheConfig:
-    def test_limits_are_configurable_and_validated(self):
-        config = LSConfig(
-            worker_output_cache_limit=2,
-            worker_intent_cache_limit=3,
-            worker_source_cache_limit=16,
-        )
-        assert config.worker_output_cache_limit == 2
-        assert config.worker_intent_cache_limit == 3
-        assert config.worker_source_cache_limit == 16
-        for knob in (
-            "worker_output_cache_limit",
-            "worker_intent_cache_limit",
-            "worker_source_cache_limit",
-        ):
-            with pytest.raises(ValueError):
-                LSConfig(**{knob: 0})
-
-    def test_limit_resizes_the_resident_cache(self, diabetes_dir, diabetes_corpus):
+class TestWorkerCacheBounds:
+    def test_resident_caches_are_bounded(self, diabetes_dir, diabetes_corpus):
         from repro.core import standardizer as mod
         from repro.lang import lemmatize
 
+        assert mod._WORKER_OUTPUT_CACHE.capacity == mod._WORKER_OUTPUT_CACHE_LIMIT
+        assert mod._WORKER_INTENT_CACHE.capacity == mod._WORKER_INTENT_CACHE_LIMIT
         mod._WORKER_OUTPUT_CACHE.clear()
+        mod._WORKER_INTENT_CACHE.clear()
+        intent = TableJaccardIntent(tau=0.5)
         source = lemmatize(diabetes_corpus[0])
-        for rows in (10, 20, 30, 40):
+        for rows in range(10, 10 * (mod._WORKER_OUTPUT_CACHE_LIMIT + 3), 10):
             fp = mod._original_output_fingerprint(source, diabetes_dir, rows)
-            mod._worker_original_output(
-                (fp, source), diabetes_dir, rows, None, limit=2
+            output = mod._worker_original_output(
+                (fp, source), diabetes_dir, rows, None
             )
-        assert len(mod._WORKER_OUTPUT_CACHE) <= 2
-        assert mod._WORKER_OUTPUT_CACHE.capacity == 2
-        # restore the module default for other tests
-        mod._WORKER_OUTPUT_CACHE.resize(mod._WORKER_OUTPUT_CACHE_LIMIT)
+            mod._worker_prepared_intent(fp, intent, output, False)
+        assert len(mod._WORKER_OUTPUT_CACHE) == mod._WORKER_OUTPUT_CACHE_LIMIT
+        assert len(mod._WORKER_INTENT_CACHE) == mod._WORKER_INTENT_CACHE_LIMIT

@@ -192,34 +192,6 @@ class TestWorkerOutputCache:
             )
         assert len(mod._WORKER_OUTPUT_CACHE) <= mod._WORKER_OUTPUT_CACHE_LIMIT
 
-    def test_task_verdict_matches_inline_check(self, diabetes_corpus, diabetes_dir):
-        from repro.core.standardizer import _verify_candidate_task
-        from repro.sandbox import run_script
-
-        original = lemmatize(diabetes_corpus[0])
-        candidate = lemmatize(diabetes_corpus[2])
-        intent = TableJaccardIntent(tau=0.5)
-        verdict = _verify_candidate_task(
-            (
-                candidate,
-                diabetes_dir,
-                100,
-                intent,
-                self._ref(original, diabetes_dir, 100),
-                None,
-                True,
-                False,
-            )
-        )
-        original_output = run_script(
-            original, data_dir=diabetes_dir, sample_rows=100
-        ).output
-        candidate_output = run_script(
-            candidate, data_dir=diabetes_dir, sample_rows=100
-        ).output
-        _, expected = intent.check(original_output, candidate_output)
-        assert verdict == expected
-
     def test_unrunnable_original_fails_closed(self, diabetes_dir):
         from repro.core import standardizer as mod
 

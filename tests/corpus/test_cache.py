@@ -89,7 +89,7 @@ class TestLucidScriptWiring:
         cache-free, warm-cache, and prebuilt-index paths."""
         results = []
         for corpus in (
-            diabetes_corpus,  # warm cache (corpus_cache=True default)
+            diabetes_corpus,  # warm cache
             CorpusIndex.from_scripts(diabetes_corpus),  # prebuilt index
         ):
             system = LucidScript(
@@ -100,12 +100,10 @@ class TestLucidScriptWiring:
             )
             results.append(system.standardize(alex_script))
         cold = LucidScript(
-            diabetes_corpus,
+            CorpusVocabulary.from_scripts(diabetes_corpus),  # offline oracle
             data_dir=diabetes_dir,
             intent=TableJaccardIntent(tau=0.5),
-            config=LSConfig(
-                seq=6, beam_size=2, sample_rows=120, corpus_cache=False
-            ),
+            config=LSConfig(seq=6, beam_size=2, sample_rows=120),
         ).standardize(alex_script)
         for result in results:
             assert result.output_script == cold.output_script

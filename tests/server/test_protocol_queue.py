@@ -97,6 +97,26 @@ class TestNormalizeJob:
             normalize_job(self._raw(diabetes_corpus, config={"warp_speed": 9}))
         assert "warp_speed" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "incremental_exec",
+            "incremental_scoring",
+            "incremental_intent",
+            "corpus_cache",
+            "shard_affinity",
+            "worker_output_cache_limit",
+            "worker_intent_cache_limit",
+            "worker_source_cache_limit",
+        ],
+    )
+    def test_rejects_removed_engine_switches(self, diabetes_corpus, field):
+        # each engine has one production path; the old switches are gone
+        with pytest.raises(JobError) as excinfo:
+            normalize_job(self._raw(diabetes_corpus, config={field: False}))
+        assert excinfo.value.kind == "bad_request"
+        assert str(excinfo.value) == f"unknown config fields: {field}"
+
     def test_rejects_invalid_config_value(self, diabetes_corpus):
         with pytest.raises(JobError):
             normalize_job(self._raw(diabetes_corpus, config={"beam_size": 0}))

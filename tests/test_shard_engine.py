@@ -103,34 +103,31 @@ class TestSourceShipping:
     def test_second_shipment_is_a_ref(self):
         mirror = LRUCache(8)
         ship = ((sha1_text(GOOD), GOOD, None, None),)
-        first, first_bytes = _encode_sources(mirror, ship, 8)
-        second, second_bytes = _encode_sources(mirror, ship, 8)
+        first, first_bytes = _encode_sources(mirror, ship)
+        second, second_bytes = _encode_sources(mirror, ship)
         assert first[0][0] == "full" and first_bytes == len(GOOD)
         assert second == [("ref", sha1_text(GOOD))] and second_bytes == 0
 
     def test_delta_against_resident_base(self):
         mirror = LRUCache(8)
-        _encode_sources(mirror, ((sha1_text(GOOD), GOOD, None, None),), 8)
+        _encode_sources(mirror, ((sha1_text(GOOD), GOOD, None, None),))
         candidate = _script("df['z'] = 9")
         instructions, shipped = _encode_sources(
             mirror,
             ((sha1_text(candidate), candidate, sha1_text(GOOD), GOOD),),
-            8,
         )
         assert instructions[0][0] == "delta"
         assert shipped < len(candidate)
 
     def test_eviction_falls_back_to_full(self):
         mirror = LRUCache(1)
-        _encode_sources(mirror, ((sha1_text(GOOD), GOOD, None, None),), 1)
+        _encode_sources(mirror, ((sha1_text(GOOD), GOOD, None, None),))
         other = _script("df['q'] = 1")
         # shipping `other` evicts GOOD from the capacity-1 mirror...
-        _encode_sources(
-            mirror, ((sha1_text(other), other, sha1_text(GOOD), GOOD),), 1
-        )
+        _encode_sources(mirror, ((sha1_text(other), other, sha1_text(GOOD), GOOD),))
         # ...so GOOD must re-ship full, never dangle as a ref
         instructions, _ = _encode_sources(
-            mirror, ((sha1_text(GOOD), GOOD, None, None),), 1
+            mirror, ((sha1_text(GOOD), GOOD, None, None),)
         )
         assert instructions[0][0] == "full"
 
@@ -205,6 +202,27 @@ class TestDeterminism:
         )
         assert verdicts == expected
         assert report.respawns >= 1
+
+    def test_aborted_batch_results_never_answer_the_next_batch(self):
+        # batch 1 aborts while sending its third task (a lambda cannot be
+        # pickled) after two passing checks were already dispatched; their
+        # late answers must not be taken for batch 2's tasks, which share
+        # the same batch-local ids
+        engine = get_shard_engine(1)
+        aborted = _exec_tasks(SCRIPTS[1:3], GOOD)
+        unpicklable = ShardTask(
+            kind="exec_check",
+            payload={"source_sha": sha1_text(GOOD), "hook": lambda: None},
+            sources=((sha1_text(GOOD), GOOD, None, None),),
+        )
+        with pytest.raises(Exception):
+            engine.run_batch(aborted + [unpicklable])
+        raising = [
+            "import pandas as pd\nraise RuntimeError('one')\ndf = 1",
+            "import pandas as pd\nraise RuntimeError('two')\ndf = 1",
+        ]
+        outcomes, _ = engine.run_batch(_exec_tasks(raising, GOOD))
+        assert outcomes == [("ok", (False, False)), ("ok", (False, False))]
 
     def test_resident_state_survives_across_batches(self):
         engine = get_shard_engine(2)
