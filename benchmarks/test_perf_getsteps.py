@@ -171,7 +171,7 @@ def test_perf_getsteps_incremental_scoring():
 def test_perf_getsteps_verify_mode_is_clean():
     """Self-audit: verify mode cross-checks every delta score against the
     full recount and raises on any divergence; a clean pass on the bench
-    workload plus a measured in-situ speedup is the engine's receipt."""
+    workload is the engine's receipt."""
     corpus, user = _workload()
     vocabulary = CorpusVocabulary.from_scripts(corpus)
     scorer = RelativeEntropyScorer(vocabulary)
@@ -179,4 +179,4 @@ def test_perf_getsteps_verify_mode_is_clean():
     search = BeamSearch(vocabulary, scorer, config, exec_checker=lambda s: True)
     search.search(list(parse_script(user).statements))
     search.sync_cache_stats()
-    assert search.stats.get_steps_speedup > 0.0
+    assert search.stats.n_delta_scores > 0

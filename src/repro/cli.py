@@ -41,8 +41,6 @@ response JSON.  See :mod:`repro.server`.
 from __future__ import annotations
 
 import argparse
-import glob
-import json
 import os
 import sys
 from typing import List, Optional, Sequence, Union
@@ -60,64 +58,30 @@ from .corpus import (
     RetrievalIndex,
     load_index,
     load_retrieval_index,
+    read_corpus_dir,
     save_index,
     save_retrieval_index,
     shared_store,
 )
-from .lang import CorpusVocabulary
 from .workloads import build_competition, competition_names
 
 __all__ = ["main", "build_parser"]
 
 
-def _read_corpus(corpus_dir: str) -> List[str]:
-    """Load a corpus: .py scripts plus flattened .ipynb notebooks.
-
-    Byte-identical duplicates are skipped with a warning — feeding the
-    same script twice would double-count its edges in Q(x) and skew
-    every standardness score toward the duplicated steps.  A notebook
-    that fails to flatten is reported (with its path) and skipped, so
-    one corrupt download cannot abort the whole corpus load.
-    """
-    from .lang import script_from_notebook
-
-    # sorted by file name, not directory iteration order: corpus order is
-    # semantic (it drives Counter tie order and the corpus cache key), so
-    # the same directory must load identically on every filesystem —
-    # matching MembershipIndex._scan's ordering exactly
-    py_paths = sorted(
-        glob.glob(os.path.join(corpus_dir, "*.py")), key=os.path.basename
-    )
-    nb_paths = sorted(
-        glob.glob(os.path.join(corpus_dir, "*.ipynb")), key=os.path.basename
-    )
-    loaded: List[tuple] = []
-    for path in py_paths:
-        with open(path, "r") as handle:
-            loaded.append((path, handle.read()))
-    for path in nb_paths:
-        try:
-            loaded.append((path, script_from_notebook(path)))
-        except (ValueError, json.JSONDecodeError, OSError) as exc:
-            print(
-                f"warning: skipping notebook {path}: {exc}",
-                file=sys.stderr,
-            )
-    scripts: List[str] = []
-    first_seen = {}
-    for path, text in loaded:
-        original = first_seen.get(text)
-        if original is not None:
-            print(
-                f"warning: skipping {path}: byte-identical to {original} "
-                "(duplicates would double-count in Q(x))",
-                file=sys.stderr,
-            )
-            continue
-        first_seen[text] = path
-        scripts.append(text)
-    if not scripts:
-        raise SystemExit(f"no .py or .ipynb scripts found in {corpus_dir!r}")
+def _corpus_scripts(corpus_dir: str) -> List[str]:
+    """The scripts of *corpus_dir*, warning on stderr about each file
+    :func:`repro.corpus.read_corpus_dir` skipped."""
+    try:
+        scripts, skipped = read_corpus_dir(corpus_dir)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+    for name in skipped:
+        kind = "notebook" if name.endswith(".ipynb") else "script"
+        print(
+            f"warning: skipping {kind} {os.path.join(corpus_dir, name)}: "
+            f"not a readable UTF-8 {kind}",
+            file=sys.stderr,
+        )
     return scripts
 
 
@@ -139,7 +103,7 @@ def _corpus_input(args) -> Union[List[str], CorpusIndex]:
         return index
     if not args.corpus_dir:
         raise SystemExit("one of --corpus-dir or --index is required")
-    return _read_corpus(args.corpus_dir)
+    return _corpus_scripts(args.corpus_dir)
 
 
 def _apply_retrieval(corpus, args, config: LSConfig):
@@ -275,14 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_leak = sub.add_parser("detect-leakage", help="flag target-leakage-like steps")
     _add_common(p_leak)
-
-    p_curate = sub.add_parser(
-        "curate", help="run the offline phase and persist the search space"
-    )
-    p_curate.add_argument("--corpus-dir", required=True,
-                          help="directory of peer .py scripts")
-    p_curate.add_argument("--out", required=True,
-                          help="path for the vocabulary JSON")
 
     p_index = sub.add_parser(
         "index", help="build / update / inspect a persistent corpus index"
@@ -499,21 +455,6 @@ def cmd_detect_leakage(args) -> int:
     return 0
 
 
-def cmd_curate(args) -> int:
-    from .lang import save_vocabulary
-
-    corpus = _read_corpus(args.corpus_dir)
-    vocabulary = CorpusVocabulary.from_scripts(corpus)
-    save_vocabulary(vocabulary, args.out)
-    stats = vocabulary.stats()
-    print(f"curated {stats.n_scripts} scripts -> {args.out}")
-    print(
-        f"vocabulary: {stats.uniq_onegrams} 1-grams, {stats.uniq_ngrams} n-grams, "
-        f"{stats.uniq_edges} edges"
-    )
-    return 0
-
-
 def _print_index_summary(index: CorpusIndex) -> None:
     stats = index.stats()
     print(f"dialect: {index.dialect}")
@@ -676,7 +617,7 @@ def cmd_client(args) -> int:
             raise SystemExit(f"error: {args.op} requires --corpus-dir")
         params = {
             "script": _read_script(args.script),
-            "corpus": _read_corpus(args.corpus_dir),
+            "corpus": _corpus_scripts(args.corpus_dir),
             "data_dir": args.data_dir,
             "target": args.target,
             "tau_m": args.tau_m,
@@ -706,7 +647,6 @@ def cmd_client(args) -> int:
 
 
 _COMMANDS = {
-    "curate": cmd_curate,
     "dialect": cmd_dialect,
     "index": cmd_index,
     "standardize": cmd_standardize,

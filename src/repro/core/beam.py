@@ -100,13 +100,11 @@ class SearchStats:
     n_steps_enumerated: int = 0
     n_delta_scores: int = 0
     n_full_recounts: int = 0
-    get_steps_speedup: float = 0.0
     n_exec_checks: int = 0
     n_intent_checks: int = 0
     n_intent_cache_hits: int = 0
     n_column_set_reuse: int = 0
     n_intent_short_circuits: int = 0
-    intent_speedup: float = 0.0
     n_corpus_index_hits: int = 0
     n_corpus_script_hits: int = 0
     n_corpus_reparses: int = 0
@@ -137,20 +135,11 @@ class SearchStats:
         probes = self.prefix_cache_hits + self.prefix_cache_misses
         return self.prefix_cache_hits / probes if probes else 0.0
 
-    def total_s(self) -> float:
-        return (
-            self.get_steps_s
-            + self.get_top_k_s
-            + self.check_executes_s
-            + self.verify_constraints_s
-        )
-
     def breakdown(self) -> Dict[str, float]:
         return {
             "GetSteps": self.get_steps_s,
             "DeltaScoreHits": float(self.n_delta_scores),
             "FullRecountFallbacks": float(self.n_full_recounts),
-            "GetStepsSpeedup": self.get_steps_speedup,
             "GetTopKBeams": self.get_top_k_s,
             "CheckIfExecutes": self.check_executes_s,
             "VerifyConstraints": self.verify_constraints_s,
@@ -158,7 +147,6 @@ class SearchStats:
             "IntentCacheHits": float(self.n_intent_cache_hits),
             "ColumnSetReuse": float(self.n_column_set_reuse),
             "IntentShortCircuits": float(self.n_intent_short_circuits),
-            "IntentSpeedup": self.intent_speedup,
             "CorpusIndexHits": float(self.n_corpus_index_hits),
             "CorpusScriptHits": float(self.n_corpus_script_hits),
             "CorpusReparses": float(self.n_corpus_reparses),
@@ -207,13 +195,6 @@ class BeamSearch:
                 vocabulary, config.operation_groups, random_state=config.random_state
             )
         self._exec_checker = exec_checker
-        # the lang layer takes None for the historical pandas surface
-        if config.dialect == "pandas":
-            self._lang_dialect = None
-        else:
-            from ..dialects import get_dialect
-
-            self._lang_dialect = get_dialect(config.dialect)
         self._executor = executor
         if self._executor is None and exec_checker is None:
             self._executor = IncrementalExecutor(
@@ -243,14 +224,18 @@ class BeamSearch:
         # frozen dataclass's field-tuple hashing on the hot path
         self._wave_deltas: Dict[int, EdgeDelta] = {}
         self._wave_parent_key: Optional[str] = None
-        # verify_scoring timing accumulators (drive GetStepsSpeedup)
-        self._delta_score_s = 0.0
-        self._full_score_s = 0.0
         self._archive: Dict[str, Candidate] = {}
         self.stats = SearchStats()
 
     #: Upper bound on archived candidates handed to constraint verification.
     ARCHIVE_LIMIT = 64
+
+    #: Cap on ranked next-step transformations returned by GetSteps().
+    MAX_STEP_CANDIDATES = 48
+
+    #: RE scores within this tolerance compare equal during ranking and
+    #: beam eviction (see :meth:`_band`).
+    SCORE_BAND = 0.02
 
     #: Capacity of the per-search memo caches.  A search touches a few
     #: hundred distinct sources/statements; the bound only matters for
@@ -270,9 +255,7 @@ class BeamSearch:
         matters for multi-line nonstandard snippets (e.g. target leakage,
         Section 6.6) whose per-line deletions score almost identically.
         """
-        if self.config.score_band <= 0:
-            return int(score * 1e12)
-        return int(round(score / self.config.score_band))
+        return int(round(score / self.SCORE_BAND))
 
     def check_if_executes(self, source: str) -> bool:
         """CheckIfExecutes() with memoization across the whole search."""
@@ -295,7 +278,7 @@ class BeamSearch:
         """Parse-once cache for add-candidate statements."""
         statement = self._statement_cache.get(source)
         if statement is None:
-            statement = Statement.from_source(0, source, dialect=self._lang_dialect)
+            statement = Statement.from_source(0, source, dialect=self.config.dialect)
             self._statement_cache[source] = statement
         return statement
 
@@ -365,7 +348,6 @@ class BeamSearch:
             score = self.scorer.score_delta(re_stats, edge_state.counts, delta)
             self._wave_deltas[id(transformation)] = delta
             return score
-        started = time.perf_counter()
         try:
             delta = self._delta_for(edge_state, transformation)
             score: Optional[float] = self.scorer.score_delta(
@@ -374,8 +356,6 @@ class BeamSearch:
             delta_error: Optional[BaseException] = None
         except (ScriptError, IndexError, ValueError) as exc:
             score, delta, delta_error = None, None, exc
-        self._delta_score_s += time.perf_counter() - started
-        started = time.perf_counter()
         try:
             full: Optional[float] = self._projected_score(
                 candidate.statements, transformation
@@ -383,7 +363,6 @@ class BeamSearch:
             full_error: Optional[BaseException] = None
         except (ScriptError, IndexError, ValueError) as exc:
             full, full_error = None, exc
-        self._full_score_s += time.perf_counter() - started
         if (delta_error is None) != (full_error is None) or (
             score is not None and score != full
         ):
@@ -433,7 +412,7 @@ class BeamSearch:
                 continue
             ranked.append((transformation, score))
         ranked.sort(key=lambda pair: (self._band(pair[1]), pair[0].position, pair[1]))
-        ranked = ranked[: self.config.max_step_candidates]
+        ranked = ranked[: self.MAX_STEP_CANDIDATES]
         self.stats.get_steps_s += time.perf_counter() - start
         self.stats.n_steps_enumerated += len(ranked)
         return ranked
@@ -667,9 +646,6 @@ class BeamSearch:
         stats.exec_cache_hit_rate = self._exec_cache.hit_rate
         stats.statement_cache_size = len(self._statement_cache)
         stats.statement_cache_hit_rate = self._statement_cache.hit_rate
-        if self._delta_score_s > 0:
-            # verify_scoring timed both paths on identical proposals
-            stats.get_steps_speedup = self._full_score_s / self._delta_score_s
         stats.n_exec_timeouts = self._direct_timeouts
         if self._executor is None:
             return

@@ -31,12 +31,6 @@ class LSConfig:
     early_check:
         α — verify the execution constraint after every transformation
         (True) or only once sequences are complete (False).
-    max_step_candidates:
-        Cap on ranked next-step transformations returned by GetSteps().
-    score_band:
-        RE scores within this tolerance compare equal during ranking and
-        beam eviction; ties break toward earlier script positions (lower
-        frontiers), which preserves the monotone search's future options.
     sample_rows:
         Row cap applied when loading D_IN inside constraint checks; None
         disables sampling.
@@ -59,20 +53,16 @@ class LSConfig:
         updates).  Debug mode: run the full-recount oracle alongside
         every delta score and raise
         :class:`repro.core.beam.ScoringMismatchError` on any divergence
-        (exact comparison).  Also times both paths, surfacing the
-        measured ratio as ``SearchStats.get_steps_speedup``.  Off by
-        default — it exists to audit the delta engine, not for
-        production.
+        (exact comparison).  Off by default — it exists to audit the
+        delta engine, not for production.
     verify_intent:
         The intent constraint is always checked through the
         content-addressed :class:`repro.core.intent.PreparedIntent`
         engine.  Debug mode: recompute every prepared intent delta
         through the naive cache-free measures alongside and raise
         :class:`repro.core.intent.IntentMismatchError` on any float
-        divergence (exact comparison).  Also times both paths, surfacing
-        the measured ratio as ``SearchStats.intent_speedup``.  Off by
-        default — it exists to audit the intent engine, not for
-        production.
+        divergence (exact comparison).  Off by default — it exists to
+        audit the intent engine, not for production.
     snapshot_budget:
         LRU capacity of the incremental executor's namespace-snapshot
         store; 0 disables prefix resumption (every check runs cold).
@@ -147,8 +137,6 @@ class LSConfig:
     diversity: bool = True
     diversity_clusters: Optional[int] = None
     early_check: bool = True
-    max_step_candidates: int = 48
-    score_band: float = 0.02
     sample_rows: Optional[int] = 500
     operation_groups: Optional[int] = None
     random_state: int = 0
@@ -176,10 +164,6 @@ class LSConfig:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.diversity_clusters is not None and self.diversity_clusters < 1:
             raise ValueError("diversity_clusters must be >= 1 when set")
-        if self.max_step_candidates < 1:
-            raise ValueError("max_step_candidates must be >= 1")
-        if self.score_band < 0:
-            raise ValueError("score_band must be non-negative")
         if self.operation_groups is not None and self.operation_groups < 1:
             raise ValueError("operation_groups must be >= 1 when set")
         if self.parallel_workers < 1:

@@ -20,7 +20,6 @@ audits exactly that).
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from hashlib import sha1
@@ -165,16 +164,13 @@ class IntentStats:
     cached :class:`PreparedIntent` was reused instead of re-freezing the
     original; ``column_set_reuse`` — per-column lookups answered from the
     content-addressed memo (zero set construction); ``short_circuits`` —
-    whole-table fingerprint matches answered without touching any set;
-    ``naive_s``/``prepared_s`` — audit-mode timings of both paths.
+    whole-table fingerprint matches answered without touching any set.
     """
 
     checks: int = 0
     prepared_hits: int = 0
     column_set_reuse: int = 0
     short_circuits: int = 0
-    naive_s: float = 0.0
-    prepared_s: float = 0.0
 
 
 class _ColumnContent:
@@ -241,15 +237,10 @@ class PreparedIntent:
         self.verify = verify
 
     def delta(self, candidate: DataFrame) -> float:
-        counters = self.counters
-        counters.checks += 1
-        started = time.perf_counter()
+        self.counters.checks += 1
         value = self._prepared_delta(candidate)
-        counters.prepared_s += time.perf_counter() - started
         if self.verify:
-            started = time.perf_counter()
             reference = self.intent.bare_delta(self.original, candidate)
-            counters.naive_s += time.perf_counter() - started
             if value != reference:
                 raise IntentMismatchError(
                     f"prepared {self.intent.name} delta {value!r} != naive "

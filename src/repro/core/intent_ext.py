@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Optional
 
 import numpy as np
 
@@ -49,11 +48,9 @@ class BagOfOperationsIntent(IntentMeasure):
     execution is needed.  ``delta`` is a similarity in [0, 1]; satisfied
     when similarity ≥ τ.
 
-    Because it needs script text rather than tables, use
-    :meth:`delta_scripts` directly, or wire it through
-    :class:`LucidScript` which calls :meth:`bind_scripts` hooks — for
-    table-based call sites the measure degrades to comparing the
-    stringified outputs' operation overlap and is rarely what you want.
+    Because it needs script text rather than tables, call
+    :meth:`delta_scripts`; the table-based :meth:`delta` raises
+    ``TypeError``.
     """
 
     name = "bag_of_operations"
@@ -62,11 +59,6 @@ class BagOfOperationsIntent(IntentMeasure):
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {tau}")
         self.tau = tau
-        self._original_bag: Optional[Counter] = None
-
-    def bind_original(self, script: str) -> None:
-        """Fix the reference script the candidates are compared against."""
-        self._original_bag = _operation_bag(script)
 
     def delta_scripts(self, original: str, candidate: str) -> float:
         try:

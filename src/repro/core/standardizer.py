@@ -306,12 +306,6 @@ class LucidScript:
     #: Distinct (original, intent) pairs whose prepared state is retained.
     INTENT_CACHE_LIMIT = 4
 
-    @property
-    def _lang_dialect(self):
-        """The dialect handed to the lang layer — None keeps pandas on
-        its historical (bit-identical) default path."""
-        return None if self.dialect.name == "pandas" else self.dialect
-
     def _check_corpus_dialect(self, supplied: str, what: str) -> None:
         if supplied != self.dialect.name:
             raise StandardizationError(
@@ -459,7 +453,7 @@ class LucidScript:
         neighbours of *script* before scoring.
         """
         self._ensure_search_space(script)
-        return self.scorer.score_dag(parse_script(script, dialect=self._lang_dialect))
+        return self.scorer.score_dag(parse_script(script, dialect=self.dialect))
 
     # ------------------------------------------------------------- online phase
     def standardize(self, script: str) -> StandardizationResult:
@@ -468,8 +462,8 @@ class LucidScript:
             return self._standardize(script)
 
     def _standardize(self, script: str) -> StandardizationResult:
-        normalized = lemmatize(script, dialect=self._lang_dialect)
-        dag = parse_script(normalized, lemmatized=True, dialect=self._lang_dialect)
+        normalized = lemmatize(script, dialect=self.dialect)
+        dag = parse_script(normalized, lemmatized=True, dialect=self.dialect)
         if not dag.statements:
             raise StandardizationError("input script has no statements")
         self._ensure_search_space(normalized)
@@ -544,9 +538,6 @@ class LucidScript:
         stats.n_intent_cache_hits += counters.prepared_hits
         stats.n_column_set_reuse += counters.column_set_reuse
         stats.n_intent_short_circuits += counters.short_circuits
-        if counters.prepared_s > 0 and counters.naive_s > 0:
-            # verify_intent timed both paths on identical checks
-            stats.intent_speedup = counters.naive_s / counters.prepared_s
 
     def _verify_all_constraints(
         self,

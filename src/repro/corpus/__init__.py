@@ -25,7 +25,13 @@ from .cache import (
     shared_retrieval_index,
     shared_store,
 )
-from .index import CorpusIndex, IndexMismatchError, MembershipIndex, RefreshReport
+from .index import (
+    CorpusIndex,
+    IndexMismatchError,
+    MembershipIndex,
+    RefreshReport,
+    read_corpus_dir,
+)
 from .persistence import (
     index_from_dict,
     index_to_dict,
@@ -67,6 +73,7 @@ __all__ = [
     "index_to_dict",
     "load_index",
     "load_retrieval_index",
+    "read_corpus_dir",
     "save_index",
     "save_retrieval_index",
     "shared_retrieval_index",

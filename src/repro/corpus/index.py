@@ -46,7 +46,13 @@ from ..lang.errors import ScriptError
 from ..lang.vocabulary import CorpusStats, CorpusVocabulary
 from .store import ScriptRecord, ScriptStore
 
-__all__ = ["CorpusIndex", "IndexMismatchError", "MembershipIndex", "RefreshReport"]
+__all__ = [
+    "CorpusIndex",
+    "IndexMismatchError",
+    "MembershipIndex",
+    "RefreshReport",
+    "read_corpus_dir",
+]
 
 
 class IndexMismatchError(RuntimeError):
@@ -314,8 +320,9 @@ class MembershipIndex:
 
     @staticmethod
     def _scan(directory: str) -> List[str]:
-        """Corpus file names (relative), .py then .ipynb, each sorted —
-        the same order :func:`repro.cli._read_corpus` loads them in."""
+        """Corpus file names (relative), .py then .ipynb, each sorted by
+        name: corpus order is semantic (it drives Counter tie order and
+        the corpus cache key), so it must not depend on the filesystem."""
         try:
             names = os.listdir(directory)
         except OSError as exc:
@@ -345,6 +352,32 @@ class MembershipIndex:
             report.failed += 1
             report.failed_paths.append(name)
             return None
+
+
+def read_corpus_dir(directory: str) -> Tuple[List[str], List[str]]:
+    """Read a corpus directory by the rules :meth:`MembershipIndex.refresh`
+    applies, returning ``(scripts, skipped)``.
+
+    ``scripts`` are the decoded texts (notebooks flattened) in corpus
+    order, byte-identical duplicates included; ``skipped`` names every
+    file that could not be read or decoded.  Raises ValueError when the
+    directory cannot be listed or yields no script.
+    """
+    report = RefreshReport()
+    scripts: List[str] = []
+    for name in MembershipIndex._scan(directory):
+        try:
+            with open(os.path.join(directory, name), "rb") as handle:
+                raw_bytes = handle.read()
+        except OSError:
+            report.failed_paths.append(name)
+            continue
+        source = MembershipIndex._load_source(name, raw_bytes, report)
+        if source is not None:
+            scripts.append(source)
+    if not scripts:
+        raise ValueError(f"no .py or .ipynb scripts found in {directory!r}")
+    return scripts, report.failed_paths
 
 
 class CorpusIndex(MembershipIndex):
@@ -483,25 +516,19 @@ class CorpusIndex(MembershipIndex):
             raise ValueError("cannot build a vocabulary from an empty corpus")
         self._materialize()
         n = len(self._members)
-        vocabulary = CorpusVocabulary.__new__(CorpusVocabulary)
-        vocabulary._dags = []
-        vocabulary.edge_counts = Counter(self.edge_counts)
-        vocabulary.onegram_counts = Counter(self.onegram_counts)
-        vocabulary.ngram_counts = Counter(self.ngram_counts)
-        from collections import defaultdict
-
-        vocabulary.successors = defaultdict(
-            Counter, {sig: Counter(c) for sig, c in self._successors.items()}
+        return CorpusVocabulary(
+            edge_counts=Counter(self.edge_counts),
+            onegram_counts=Counter(self.onegram_counts),
+            ngram_counts=Counter(self.ngram_counts),
+            successors={sig: Counter(c) for sig, c in self._successors.items()},
+            onegram_templates=dict(self._templates),
+            relative_positions=dict(self._positions),
+            n_scripts=n,
+            avg_code_lines=self._total_statements / n,
+            ngram_script_frequency={
+                sig: len(self._position_members[sig]) / n for sig in self.ngram_counts
+            },
         )
-        vocabulary.onegram_templates = dict(self._templates)
-        vocabulary.relative_positions = dict(self._positions)
-        vocabulary._total_edges = sum(self.edge_counts.values())
-        vocabulary._restored_n_scripts = n
-        vocabulary._restored_avg_lines = self._total_statements / n
-        vocabulary._restored_frequencies = {
-            sig: len(self._position_members[sig]) / n for sig in self.ngram_counts
-        }
-        return vocabulary
 
     def stats(self) -> CorpusStats:
         n = len(self._members)
@@ -526,7 +553,7 @@ class CorpusIndex(MembershipIndex):
         if not self._members:
             return
         fresh = CorpusVocabulary.from_scripts(
-            self.sources(), dialect=self.store._lang_dialect
+            self.sources(), dialect=self.store.dialect
         )
         mine = self.to_vocabulary()
         self._compare("edge_counts", mine.edge_counts, fresh.edge_counts)
@@ -543,13 +570,11 @@ class CorpusIndex(MembershipIndex):
         fresh_succ = {s: list(c.items()) for s, c in fresh.successors.items()}
         self._compare("successors", mine_succ, fresh_succ)
         self._compare("stats", mine.stats(), fresh.stats())
-        for sig in fresh.ngram_counts:
-            if mine.statement_frequency(sig) != fresh.statement_frequency(sig):
-                raise IndexMismatchError(
-                    f"statement_frequency({sig!r}): "
-                    f"{mine.statement_frequency(sig)!r} != "
-                    f"{fresh.statement_frequency(sig)!r}"
-                )
+        self._compare(
+            "ngram_script_frequency",
+            mine.ngram_script_frequency,
+            fresh.ngram_script_frequency,
+        )
         # Q(x) spot equivalence follows from edge_counts/total, but keep
         # the smoothing mass in the contract explicitly
         self._compare("epsilon", mine.epsilon, fresh.epsilon)

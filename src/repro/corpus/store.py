@@ -29,6 +29,7 @@ from hashlib import sha1
 from typing import Dict, List, Optional, Tuple, Union
 
 from .._lru import LRUCache
+from ..dialects import get_dialect
 from ..lang.errors import ScriptError
 from ..lang.lemmatize import lemmatize
 from ..lang.parser import ScriptDAG, parse_script
@@ -151,14 +152,8 @@ class ScriptStore:
         if capacity is not None and capacity < 1:
             raise ValueError(f"store capacity must be >= 1 when set, got {capacity}")
         self.capacity = capacity
+        get_dialect(dialect)  # unknown names fail fast, listing options
         self.dialect = dialect
-        if dialect == "pandas":
-            # None keeps the lang layer on its historical pandas path
-            self._lang_dialect = None
-        else:
-            from ..dialects import get_dialect
-
-            self._lang_dialect = get_dialect(dialect)
         self._records: Union[Dict[str, ScriptRecord], LRUCache] = (
             {} if capacity is None else LRUCache(capacity)
         )
@@ -177,17 +172,6 @@ class ScriptStore:
 
     def get(self, content_hash: str) -> Optional[ScriptRecord]:
         return self._records.get(content_hash)
-
-    def raw_content_hash(self, raw_sha: str) -> Optional[str]:
-        """The content hash recorded for raw bytes with this sha1, if any.
-
-        A recency-neutral probe (:meth:`LRUCache.peek` on bounded
-        stores) — used by the corpus-key fast path, which must not
-        perturb eviction order just by computing cache keys.
-        """
-        if isinstance(self._raw_memo, LRUCache):
-            return self._raw_memo.peek(raw_sha)
-        return self._raw_memo.get(raw_sha)
 
     def _remember(self, record: ScriptRecord) -> None:
         self._records[record.content_hash] = record
@@ -215,7 +199,7 @@ class ScriptStore:
                 self.counters.lemma_hits += 1
                 return record
         try:
-            lemmatized = lemmatize(raw_source, dialect=self._lang_dialect)
+            lemmatized = lemmatize(raw_source, dialect=self.dialect)
         except ScriptError:
             self.counters.failures += 1
             return None
@@ -226,7 +210,7 @@ class ScriptStore:
             self.counters.hits += 1
             return record
         try:
-            dag = parse_script(lemmatized, lemmatized=True, dialect=self._lang_dialect)
+            dag = parse_script(lemmatized, lemmatized=True, dialect=self.dialect)
         except ScriptError:  # pragma: no cover - lemmatize already parsed
             self.counters.failures += 1
             return None

@@ -17,12 +17,6 @@ from .parser import (
     parse_script,
 )
 from .notebooks import script_from_notebook, scripts_from_notebook_dir
-from .persistence import (
-    load_vocabulary,
-    save_vocabulary,
-    vocabulary_from_dict,
-    vocabulary_to_dict,
-)
 from .vocabulary import CorpusStats, CorpusVocabulary
 
 __all__ = [
@@ -42,13 +36,9 @@ __all__ = [
     "compute_edge_counts",
     "extract_onegrams",
     "lemmatize",
-    "load_vocabulary",
     "parse_script",
     "read_csv_files",
-    "save_vocabulary",
     "script_from_notebook",
     "scripts_from_notebook_dir",
     "split_statements",
-    "vocabulary_from_dict",
-    "vocabulary_to_dict",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional
 
+from ..dialects import resolve_dialect
 from .errors import ScriptParseError, UnsupportedScriptError
 
 __all__ = ["lemmatize", "read_csv_files", "split_statements"]
@@ -47,19 +48,7 @@ def _check_straight_line(tree: ast.Module) -> None:
             )
 
 
-#: The historical (pandas) call surface, used whenever no dialect is given.
-_DEFAULT_LOADER_NAMES = frozenset({"read_csv"})
-_DEFAULT_CANONICAL_BASE = "df"
-
-
-def _loader_surface(dialect=None):
-    """(loader_names, canonical_base) for *dialect* (None = pandas)."""
-    if dialect is None:
-        return _DEFAULT_LOADER_NAMES, _DEFAULT_CANONICAL_BASE
-    return dialect.loader_names, dialect.canonical_base
-
-
-def _read_csv_path(call: ast.Call, loader_names=_DEFAULT_LOADER_NAMES) -> Optional[str]:
+def _read_csv_path(call: ast.Call, loader_names) -> Optional[str]:
     """Return the constant path argument of a loader call, if present."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -72,7 +61,7 @@ def _read_csv_path(call: ast.Call, loader_names=_DEFAULT_LOADER_NAMES) -> Option
 
 def read_csv_files(source: str, dialect=None) -> List[str]:
     """List the distinct data paths a script loads, in first-read order."""
-    loader_names, _base = _loader_surface(dialect)
+    loader_names = resolve_dialect(dialect).loader_names
     tree = _parse(source)
     paths: List[str] = []
     for node in ast.walk(tree):
@@ -95,10 +84,10 @@ class _Renamer(ast.NodeTransformer):
         return node
 
 
-def _build_rename_map(tree: ast.Module, dialect=None) -> Dict[str, str]:
+def _build_rename_map(tree: ast.Module, dialect) -> Dict[str, str]:
     """Map loader-result variable names to the dialect's canonical
     ``df``/``df2``/... (pandas) or ``design``/``design2``/... names."""
-    loader_names, base = _loader_surface(dialect)
+    loader_names, base = dialect.loader_names, dialect.canonical_base
     canonical_by_path: Dict[str, str] = {}
     rename: Dict[str, str] = {}
     for node in tree.body:
@@ -131,9 +120,9 @@ def split_statements(source: str) -> List[str]:
 def lemmatize(source: str, dialect=None) -> str:
     """Return the canonical (lemmatized) form of *source*.
 
-    *dialect* (an :class:`~repro.dialects.ApiDialect`, or None for the
-    historical pandas behavior) supplies the loader entry points and the
-    canonical variable stem; everything else is surface-independent.
+    *dialect* (an :class:`~repro.dialects.ApiDialect`, its name, or None
+    for pandas) supplies the loader entry points and the canonical
+    variable stem; everything else is surface-independent.
 
     Raises
     ------
@@ -144,7 +133,7 @@ def lemmatize(source: str, dialect=None) -> str:
     """
     tree = _parse(source)
     _check_straight_line(tree)
-    mapping = _build_rename_map(tree, dialect)
+    mapping = _build_rename_map(tree, resolve_dialect(dialect))
     if mapping:
         tree = _Renamer(mapping).visit(tree)
         ast.fix_missing_locations(tree)

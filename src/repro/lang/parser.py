@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..dialects import resolve_dialect
 from .atoms import NGRAM, ONEGRAM, Atom, Edge
 from .errors import ScriptParseError, UnsupportedScriptError
 from .lemmatize import lemmatize
@@ -187,7 +188,7 @@ class Statement:
         onegrams, intra_edges = extract_onegrams(node)
         reads, writes = _variables(node)
         is_import = isinstance(node, (ast.Import, ast.ImportFrom))
-        loader_names = ("read_csv",) if dialect is None else dialect.loader_names
+        loader_names = resolve_dialect(dialect).loader_names
         is_read_csv = any(
             loader in a.signature for a in onegrams for loader in loader_names
         )
@@ -612,10 +613,11 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> ScriptD
     """Parse *source* into its DAG representation.
 
     Lemmatization (canonical renaming + normalization) is applied first
-    unless the caller already did so.  *dialect* (None = the historical
-    pandas surface) supplies the loader entry points used for canonical
-    renaming and statement protection.
+    unless the caller already did so.  *dialect* (an ApiDialect, its
+    name, or None for pandas) supplies the loader entry points used for
+    canonical renaming and statement protection.
     """
+    dialect = resolve_dialect(dialect)
     normalized = source if lemmatized else lemmatize(source, dialect=dialect)
     try:
         tree = ast.parse(normalized)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .atoms import NGRAM, ONEGRAM
 from .errors import ScriptError
-from .lemmatize import lemmatize
 from .parser import ScriptDAG, parse_script
 
 __all__ = ["CorpusVocabulary", "CorpusStats"]
@@ -44,45 +43,44 @@ class CorpusStats:
 
 
 class CorpusVocabulary:
-    """V_A, V_E', and Q(x) computed over a corpus of scripts."""
+    """V_A, V_E', and Q(x) computed over a corpus of scripts.
 
-    def __init__(self, dags: Sequence[ScriptDAG]):
-        if not dags:
+    A vocabulary is a value: every structure comes in through the
+    constructor and none of it refers back to parsed scripts.
+    :meth:`from_scripts` derives it from raw sources (the reference
+    build); :meth:`repro.corpus.CorpusIndex.to_vocabulary` derives the
+    same values from incrementally maintained statistics.
+    """
+
+    def __init__(
+        self,
+        *,
+        edge_counts: Counter,
+        onegram_counts: Counter,
+        ngram_counts: Counter,
+        successors: Dict[str, Counter],
+        onegram_templates: Dict[str, str],
+        relative_positions: Dict[str, float],
+        n_scripts: int,
+        avg_code_lines: float,
+        ngram_script_frequency: Dict[str, float],
+    ):
+        if n_scripts < 1:
             raise ValueError("cannot build a vocabulary from an empty corpus")
-        self._dags: List[ScriptDAG] = list(dags)
-
-        self.edge_counts: Counter = Counter()
-        self.onegram_counts: Counter = Counter()
-        self.ngram_counts: Counter = Counter()
+        self.edge_counts = edge_counts
+        self.onegram_counts = onegram_counts
+        self.ngram_counts = ngram_counts
         #: n-gram signature -> Counter of n-gram signatures observed to follow it
-        self.successors: Dict[str, Counter] = defaultdict(Counter)
+        self.successors = successors
         #: 1-gram signature -> representative full-statement source
-        self.onegram_templates: Dict[str, str] = {}
+        self.onegram_templates = onegram_templates
         #: n-gram signature -> mean relative position (0=start .. 1=end)
-        self.relative_positions: Dict[str, float] = {}
-
-        position_sums: Dict[str, List[float]] = defaultdict(list)
-        for dag in self._dags:
-            self.edge_counts.update(dag.edge_counter())
-            self.onegram_counts.update(dag.onegram_counter())
-            self.ngram_counts.update(dag.ngram_counter())
-            n = max(len(dag) - 1, 1)
-            for stmt in dag.statements:
-                position_sums[stmt.ngram.signature].append(stmt.index / n)
-                for atom in stmt.onegrams:
-                    # prefer a df-assignment statement as the template so a
-                    # 1-gram add renders as a standalone, executable line
-                    current = self.onegram_templates.get(atom.signature)
-                    if current is None or (
-                        not current.startswith("df = ") and stmt.source.startswith("df = ")
-                    ):
-                        self.onegram_templates[atom.signature] = stmt.source
-            for edge in dag.inter_edges():
-                self.successors[edge.source][edge.target] += 1
-        self.relative_positions = {
-            sig: sum(vals) / len(vals) for sig, vals in position_sums.items()
-        }
-        self._total_edges = sum(self.edge_counts.values())
+        self.relative_positions = relative_positions
+        self.n_scripts = n_scripts
+        self.avg_code_lines = avg_code_lines
+        #: n-gram signature -> fraction of corpus scripts containing it
+        self.ngram_script_frequency = ngram_script_frequency
+        self.total_edges = sum(edge_counts.values())
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -93,7 +91,8 @@ class CorpusVocabulary:
         broken notebooks — but an all-broken corpus raises ScriptError.
         *dialect* (None = pandas) drives lemmatization's call surface.
         """
-        dags, failures = [], 0
+        dags: List[ScriptDAG] = []
+        failures = 0
         for script in scripts:
             try:
                 dags.append(parse_script(script, dialect=dialect))
@@ -101,32 +100,59 @@ class CorpusVocabulary:
                 failures += 1
         if not dags:
             raise ScriptError(f"no parseable scripts in corpus ({failures} failed)")
-        return cls(dags)
+
+        edge_counts: Counter = Counter()
+        onegram_counts: Counter = Counter()
+        ngram_counts: Counter = Counter()
+        script_hits: Counter = Counter()
+        successors: Dict[str, Counter] = defaultdict(Counter)
+        templates: Dict[str, str] = {}
+        position_sums: Dict[str, List[float]] = defaultdict(list)
+        for dag in dags:
+            edge_counts.update(dag.edge_counter())
+            onegram_counts.update(dag.onegram_counter())
+            ngrams = dag.ngram_counter()
+            ngram_counts.update(ngrams)
+            script_hits.update(ngrams.keys())
+            n = max(len(dag) - 1, 1)
+            for stmt in dag.statements:
+                position_sums[stmt.ngram.signature].append(stmt.index / n)
+                for atom in stmt.onegrams:
+                    # prefer a df-assignment statement as the template so a
+                    # 1-gram add renders as a standalone, executable line
+                    current = templates.get(atom.signature)
+                    if current is None or (
+                        not current.startswith("df = ") and stmt.source.startswith("df = ")
+                    ):
+                        templates[atom.signature] = stmt.source
+            for edge in dag.inter_edges():
+                successors[edge.source][edge.target] += 1
+        n_scripts = len(dags)
+        return cls(
+            edge_counts=edge_counts,
+            onegram_counts=onegram_counts,
+            ngram_counts=ngram_counts,
+            successors=dict(successors),
+            onegram_templates=templates,
+            relative_positions={
+                sig: sum(vals) / len(vals) for sig, vals in position_sums.items()
+            },
+            n_scripts=n_scripts,
+            avg_code_lines=sum(len(dag) for dag in dags) / n_scripts,
+            ngram_script_frequency={
+                sig: hits / n_scripts for sig, hits in script_hits.items()
+            },
+        )
 
     # ------------------------------------------------------------------ sizes
-    @property
-    def n_scripts(self) -> int:
-        if self._dags:
-            return len(self._dags)
-        # vocabulary restored from disk (repro.lang.persistence)
-        return getattr(self, "_restored_n_scripts", 0)
-
-    @property
-    def total_edges(self) -> int:
-        return self._total_edges
-
     @property
     def uniq_edges(self) -> int:
         return len(self.edge_counts)
 
     def stats(self) -> CorpusStats:
-        if self._dags:
-            avg_lines = sum(len(d) for d in self._dags) / len(self._dags)
-        else:
-            avg_lines = getattr(self, "_restored_avg_lines", 0.0)
         return CorpusStats(
             n_scripts=self.n_scripts,
-            avg_code_lines=avg_lines,
+            avg_code_lines=self.avg_code_lines,
             uniq_onegrams=len(self.onegram_counts),
             uniq_ngrams=len(self.ngram_counts),
             uniq_edges=len(self.edge_counts),
@@ -137,7 +163,7 @@ class CorpusVocabulary:
         """Q(x) for one edge; unseen edges get the smoothing mass ε."""
         count = self.edge_counts.get(edge, 0)
         if count:
-            return count / self._total_edges
+            return count / self.total_edges
         if epsilon is None:
             epsilon = self.epsilon
         return epsilon
@@ -145,23 +171,17 @@ class CorpusVocabulary:
     @property
     def epsilon(self) -> float:
         """Smoothing mass for out-of-vocabulary edges (half a count)."""
-        return 0.5 / max(self._total_edges, 1)
+        return 0.5 / max(self.total_edges, 1)
 
     def q_distribution(self) -> Dict[EdgeKey, float]:
         return {
-            edge: count / self._total_edges for edge, count in self.edge_counts.items()
+            edge: count / self.total_edges for edge, count in self.edge_counts.items()
         }
 
     # ------------------------------------------------------------- step lookup
     def statement_frequency(self, signature: str) -> float:
         """Fraction of corpus scripts whose DAG contains this n-gram atom."""
-        if not self._dags:
-            restored = getattr(self, "_restored_frequencies", {})
-            return restored.get(signature, 0.0)
-        hits = sum(
-            1 for dag in self._dags if signature in dag.ngram_counter()
-        )
-        return hits / len(self._dags)
+        return self.ngram_script_frequency.get(signature, 0.0)
 
     def ngram_successors(self, signature: str) -> List[Tuple[str, int]]:
         """Statements observed to directly follow *signature*, most common first."""

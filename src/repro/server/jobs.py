@@ -34,6 +34,7 @@ from ..core import (
     TableJaccardIntent,
 )
 from ..core.explain import explain_result
+from ..corpus import corpus_key, read_corpus_dir
 from ..lang import ScriptError
 from .protocol import JOB_OPS, canonical
 
@@ -128,12 +129,11 @@ def _normalize_corpus(params: Dict[str, Any]) -> List[str]:
         isinstance(corpus_dir, str) and bool(corpus_dir),
         "one of 'corpus' or 'corpus_dir' is required",
     )
-    from ..cli import _read_corpus  # lazy: cli imports widely
-
     try:
-        return _read_corpus(corpus_dir)
-    except SystemExit as exc:  # _read_corpus's empty-directory verdict
+        scripts, _skipped = read_corpus_dir(corpus_dir)
+    except ValueError as exc:
         raise JobError("bad_request", str(exc)) from exc
+    return scripts
 
 
 def _normalize_config(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -222,8 +222,6 @@ def resolve_job(job: Dict[str, Any]) -> ResolvedJob:
     The corpus half doubles as the queue's coalescing group: requests
     against the same corpus ride the same dispatch wave.
     """
-    from ..corpus import corpus_key  # lazy: avoid import cycles at startup
-
     params = job["params"]
     scripts = params["corpus"]
     shape = sha1(

@@ -47,7 +47,7 @@ class TestGetSteps:
         ranked = search.get_steps(candidate)
         scores = [s for _, s in ranked]
         assert scores == sorted(scores)
-        assert len(ranked) <= search.config.max_step_candidates
+        assert len(ranked) <= search.MAX_STEP_CANDIDATES
 
     def test_best_step_improves_score(self, vocab, scorer, diabetes_dir, alex_script):
         search = make_search(vocab, scorer, diabetes_dir)
@@ -234,8 +234,6 @@ class TestConfig:
             LSConfig(beam_size=0)
         with pytest.raises(ValueError):
             LSConfig(diversity_clusters=0)
-        with pytest.raises(ValueError):
-            LSConfig(max_step_candidates=0)
 
     def test_clusters_default_to_beam_size(self):
         assert LSConfig(beam_size=4).clusters == 4

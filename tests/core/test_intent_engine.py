@@ -204,7 +204,6 @@ class TestVerifyMode:
         for _ in range(20):
             prepared.delta(perturb(rng, original))
         assert counters.checks == 20
-        assert counters.naive_s > 0.0 and counters.prepared_s > 0.0
 
     def test_divergence_raises(self, monkeypatch):
         original = DataFrame({"a": [1, 2]})
@@ -340,6 +339,4 @@ class TestSearchParity:
             verify_intent=True,
         )
         assert result.stats.n_intent_checks > 0
-        assert result.stats.intent_speedup > 0.0
-        breakdown = result.stats.breakdown()
-        assert "IntentChecks" in breakdown and "IntentSpeedup" in breakdown
+        assert "IntentChecks" in result.stats.breakdown()

@@ -1,5 +1,7 @@
 """Tests for offline search-space curation (CorpusVocabulary)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.lang import NGRAM, ONEGRAM, CorpusVocabulary, ScriptError
@@ -16,7 +18,17 @@ class TestConstruction:
 
     def test_empty_corpus_raises(self):
         with pytest.raises(ValueError):
-            CorpusVocabulary([])
+            CorpusVocabulary(
+                edge_counts=Counter(),
+                onegram_counts=Counter(),
+                ngram_counts=Counter(),
+                successors={},
+                onegram_templates={},
+                relative_positions={},
+                n_scripts=0,
+                avg_code_lines=0.0,
+                ngram_script_frequency={},
+            )
 
     def test_all_broken_corpus_raises(self):
         with pytest.raises(ScriptError):

@@ -108,10 +108,13 @@ class TestNormalizeJob:
             "worker_output_cache_limit",
             "worker_intent_cache_limit",
             "worker_source_cache_limit",
+            "score_band",
+            "max_step_candidates",
         ],
     )
     def test_rejects_removed_engine_switches(self, diabetes_corpus, field):
-        # each engine has one production path; the old switches are gone
+        # each engine has one production path; the old switches and the
+        # knobs nothing varied are gone
         with pytest.raises(JobError) as excinfo:
             normalize_job(self._raw(diabetes_corpus, config={field: False}))
         assert excinfo.value.kind == "bad_request"

@@ -127,36 +127,62 @@ class TestDetectLeakage:
         assert "Outcome_copy" in out or "no out-of-the-ordinary" in out
 
 
-class TestCurate:
-    def test_writes_vocabulary_json(self, corpus_dir, tmp_path, capsys):
-        out = str(tmp_path / "vocab.json")
-        code = main(["curate", "--corpus-dir", corpus_dir, "--out", out])
-        assert code == 0
-        assert "curated 3 scripts" in capsys.readouterr().out
-
-        from repro.lang import load_vocabulary
-
-        vocabulary = load_vocabulary(out)
-        assert vocabulary.n_scripts == 3
-        assert vocabulary.total_edges > 0
-
-
 class TestCorpusWarnings:
-    def test_duplicate_scripts_skipped_with_warning(
-        self, corpus_dir, script_path, capsys
+    def test_corpus_dir_index_and_server_score_alike(
+        self, corpus_dir, script_path, diabetes_corpus, alex_script, tmp_path,
+        capsys,
     ):
+        """One directory, three entry points, one reader: a byte-identical
+        duplicate counts twice everywhere, and an undecodable file is
+        named and skipped everywhere."""
+        import json
         import shutil
+
+        from repro.corpus import clear_corpus_cache
+        from repro.sandbox import kill_worker_pool
+        from repro.server import ServerClient, ServerConfig, ServerThread
 
         shutil.copy(
             os.path.join(corpus_dir, "peer_0.py"),
             os.path.join(corpus_dir, "zz_copy.py"),
         )
+        notebook = {
+            "cells": [
+                {
+                    "cell_type": "code",
+                    "source": diabetes_corpus[1].splitlines(keepends=True),
+                }
+            ]
+        }
+        with open(os.path.join(corpus_dir, "peer_nb.ipynb"), "w") as handle:
+            json.dump(notebook, handle)
+        with open(os.path.join(corpus_dir, "latin1.py"), "wb") as handle:
+            handle.write("df = 'caf\u00e9'\n".encode("latin-1"))
+
         code = main(["score", "--script", script_path, "--corpus-dir", corpus_dir])
         assert code == 0
-        err = capsys.readouterr().err
-        assert "byte-identical to" in err
-        assert "zz_copy.py" in err
-        assert "double-count" in err
+        captured = capsys.readouterr()
+        from_dir = captured.out.strip()
+        assert "latin1.py" in captured.err
+
+        snapshot = str(tmp_path / "index.json")
+        assert main(["index", "build", "--corpus-dir", corpus_dir,
+                     "--out", snapshot]) == 0
+        capsys.readouterr()
+        assert main(["score", "--script", script_path, "--index", snapshot]) == 0
+        from_index = capsys.readouterr().out.strip()
+
+        clear_corpus_cache()
+        config = ServerConfig(socket_path=str(tmp_path / "repro.sock"))
+        try:
+            with ServerThread(config) as handle:
+                with ServerClient(socket_path=handle.config.socket_path) as client:
+                    served = client.score(script=alex_script, corpus_dir=corpus_dir)
+        finally:
+            kill_worker_pool()
+            clear_corpus_cache()
+
+        assert from_dir == from_index == f"{served['score']:.4f}"
 
     def test_broken_notebook_names_the_file(self, corpus_dir, script_path, capsys):
         with open(os.path.join(corpus_dir, "corrupt.ipynb"), "w") as handle:
@@ -241,7 +267,7 @@ class TestReadCorpusOrdering:
         """Corpus order must be stable across filesystems: sorted by name."""
         import random
 
-        from repro.cli import _read_corpus
+        from repro.corpus import read_corpus_dir
 
         d = tmp_path / "shuffled"
         d.mkdir()
@@ -252,7 +278,8 @@ class TestReadCorpusOrdering:
             (d / name).write_text(
                 f"import pandas as pd\ndf = pd.read_csv('{name}.csv')\ndf\n"
             )
-        scripts = _read_corpus(str(d))
+        scripts, skipped = read_corpus_dir(str(d))
+        assert skipped == []
         expected = [
             f"import pandas as pd\ndf = pd.read_csv('{name}.csv')\ndf\n"
             for name in sorted(names)
