@@ -36,6 +36,10 @@ Standardization-as-a-service::
 cross-request batch coalescing, graceful SIGTERM drain); ``client``
 sends one job (or ``ping``/``stats``/``shutdown``) and prints the
 response JSON.  See :mod:`repro.server`.
+
+The job commands and ``client`` share one flag set and params builder;
+the job commands run :func:`repro.server.jobs.execute_job` in-process,
+and a failed job prints ``error: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -43,16 +47,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from .core import (
-    LSConfig,
-    LucidScript,
-    ModelPerformanceIntent,
-    StandardizationError,
-    TableJaccardIntent,
-)
-from .core.explain import explain_result
+from .core import LSConfig
+from .core.standardizer import format_summary
 from .corpus import (
     CorpusIndex,
     RetrievalIndex,
@@ -63,6 +61,7 @@ from .corpus import (
     save_retrieval_index,
     shared_store,
 )
+from .server.jobs import JobError, build_system, execute_job, job_inputs
 from .workloads import build_competition, competition_names
 
 __all__ = ["main", "build_parser"]
@@ -93,32 +92,22 @@ def _corpus_input(args) -> Union[List[str], CorpusIndex]:
     memory first (only changed files are reparsed; the snapshot on disk
     is not rewritten — use ``index update`` for that).
     """
-    index_path = getattr(args, "index", None)
-    if index_path:
-        index = load_index(index_path)
+    if args.index:
+        index = load_index(args.index)
         if args.corpus_dir:
             index.refresh(args.corpus_dir)
         if not index.n_scripts:
-            raise SystemExit(f"corpus index {index_path!r} is empty")
+            raise SystemExit(f"corpus index {args.index!r} is empty")
         return index
     if not args.corpus_dir:
         raise SystemExit("one of --corpus-dir or --index is required")
     return _corpus_scripts(args.corpus_dir)
 
 
-def _apply_retrieval(corpus, args, config: LSConfig):
-    """Swap the curated corpus for a retrieval pool when --retrieve-k is set.
-
-    The resolved corpus (raw scripts or a loaded index) becomes the pool
-    of a :class:`RetrievalIndex` over the shared store; LucidScript then
-    defers curation and assembles each query's working corpus by top-k
-    similarity.
-    """
-    k = getattr(args, "retrieve_k", None)
-    if k is None:
-        return corpus
-    config.retrieval_k = k
-    config.verify_retrieval = bool(getattr(args, "verify_retrieval", False))
+def _retrieval_pool(corpus, config: LSConfig) -> RetrievalIndex:
+    """The --retrieve-k pool over the resolved corpus (raw scripts or a
+    loaded index): LucidScript then defers curation and assembles each
+    query's working corpus by top-k similarity."""
     pool = RetrievalIndex(store=shared_store(config.dialect))
     if isinstance(corpus, CorpusIndex):
         for content_hash in corpus.content_hashes():
@@ -132,25 +121,11 @@ def _apply_retrieval(corpus, args, config: LSConfig):
 
 
 def _read_script(path: str) -> str:
-    with open(path, "r") as handle:
-        return handle.read()
-
-
-def _make_intent(args):
-    if args.target:
-        return ModelPerformanceIntent(target=args.target, tau=args.tau_m)
-    return TableJaccardIntent(tau=args.tau_j)
-
-
-def _make_config(args) -> LSConfig:
-    return LSConfig(
-        seq=args.seq,
-        beam_size=args.beam_size,
-        diversity=not args.no_diversity,
-        early_check=not args.late_check,
-        sample_rows=args.sample_rows,
-        dialect=args.dialect,
-    )
+    try:
+        with open(path, "r") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read script: {exc}") from exc
 
 
 def _dialect_arg(name: str) -> str:
@@ -164,10 +139,12 @@ def _dialect_arg(name: str) -> str:
     return name
 
 
-def _add_dialect(parser: argparse.ArgumentParser) -> None:
+def _add_dialect(
+    parser: argparse.ArgumentParser, default: Optional[str] = "pandas"
+) -> None:
     parser.add_argument(
         "--dialect",
-        default="pandas",
+        default=default,
         type=_dialect_arg,
         metavar="NAME",
         help="API dialect of the scripts (default: pandas; "
@@ -175,44 +152,77 @@ def _add_dialect(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser, with_search: bool = True) -> None:
-    parser.add_argument("--script", required=True, help="user script path")
-    parser.add_argument("--corpus-dir", help="directory of peer .py scripts")
-    _add_dialect(parser)
-    parser.add_argument(
-        "--index",
-        help="persisted corpus index (from 'index build'); loads the offline "
-        "phase without reparsing, refreshed against --corpus-dir when given",
-    )
-    parser.add_argument(
-        "--retrieve-k",
-        type=int,
-        default=None,
-        metavar="N",
-        help="treat the corpus as a pool and curate the N scripts most "
-        "similar to the input via LSH top-k retrieval",
-    )
-    parser.add_argument(
-        "--verify-retrieval",
-        action="store_true",
-        help="audit every top-k retrieval against brute-force signature "
-        "similarity (debug mode, O(pool) per query)",
-    )
-    if with_search:
-        parser.add_argument("--data-dir", help="directory holding the dataset CSVs")
-        parser.add_argument("--tau-j", type=float, default=0.9,
-                            help="table-Jaccard threshold (default 0.9)")
-        parser.add_argument("--tau-m", type=float, default=1.0,
-                            help="model-performance threshold %% (used with --target)")
-        parser.add_argument("--target", help="target column (switches to the tau_M intent)")
-        parser.add_argument("--seq", type=int, default=16, help="max transformations")
-        parser.add_argument("--beam-size", type=int, default=3, help="beam size K")
-        parser.add_argument("--no-diversity", action="store_true",
-                            help="disable Algorithm 3 diversity clustering")
-        parser.add_argument("--late-check", action="store_true",
-                            help="verify executability only at the end")
-        parser.add_argument("--sample-rows", type=int, default=500,
-                            help="row sample for constraint checks (0 = no sampling)")
+def _add_job_flags(parser: argparse.ArgumentParser, local: bool = True) -> None:
+    """The flags of one standardize/score/explain/detect-leakage job,
+    shared by the local commands and ``client``; :func:`_job_params`
+    turns them into the job's params.  Search flags left unset mean the
+    :class:`LSConfig` default, locally and on the server alike."""
+    parser.add_argument("--script", required=local, help="user script path")
+    parser.add_argument("--corpus-dir",
+                        help="directory of peer .py/.ipynb scripts ('client' "
+                        "reads it locally and inlines it)")
+    parser.add_argument("--data-dir",
+                        help="directory holding the dataset CSVs (for "
+                        "'client', a path on the server's filesystem)")
+    _add_dialect(parser, default=None)
+    parser.add_argument("--tau-j", type=float, default=0.9,
+                        help="table-Jaccard threshold (default 0.9)")
+    parser.add_argument("--tau-m", type=float, default=1.0,
+                        help="model-performance threshold %% (used with --target)")
+    parser.add_argument("--target", help="target column (switches to the tau_M intent)")
+    parser.add_argument("--seq", type=int, help="max transformations (default 16)")
+    parser.add_argument("--beam-size", type=int, help="beam size K (default 3)")
+    parser.add_argument("--no-diversity", action="store_true",
+                        help="disable Algorithm 3 diversity clustering")
+    parser.add_argument("--late-check", action="store_true",
+                        help="verify executability only at the end")
+    parser.add_argument("--sample-rows", type=int,
+                        help="row sample for constraint checks "
+                        "(default 500; 0 = no sampling)")
+    if not local:
+        return
+    parser.add_argument("--index",
+                        help="persisted corpus index (from 'index build'); loads "
+                        "the offline phase without reparsing, refreshed against "
+                        "--corpus-dir when given")
+    parser.add_argument("--retrieve-k", type=int, metavar="N",
+                        help="treat the corpus as a pool and curate the N scripts "
+                        "most similar to the input via LSH top-k retrieval")
+    parser.add_argument("--verify-retrieval", action="store_true",
+                        help="audit every top-k retrieval against brute-force "
+                        "signature similarity (debug mode, O(pool) per query)")
+
+
+def _job_params(args) -> Dict[str, Any]:
+    """The params of one job, as ``client`` sends them (minus the corpus).
+
+    Only the search flags given become config overrides, so the server
+    applies the same defaults a local run does; ``--sample-rows 0``
+    means no sampling.
+    """
+    config = {
+        name: value
+        for name, value in (
+            ("seq", args.seq),
+            ("beam_size", args.beam_size),
+            ("dialect", args.dialect),
+        )
+        if value is not None
+    }
+    if args.sample_rows is not None:
+        config["sample_rows"] = args.sample_rows or None
+    if args.no_diversity:
+        config["diversity"] = False
+    if args.late_check:
+        config["early_check"] = False
+    return {
+        "script": _read_script(args.script),
+        "data_dir": args.data_dir,
+        "target": args.target,
+        "tau_j": args.tau_j,
+        "tau_m": args.tau_m,
+        "config": config,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_std = sub.add_parser("standardize", help="standardize a script against a corpus")
-    _add_common(p_std)
+    _add_job_flags(p_std)
     p_std.add_argument("--output", help="write the standardized script here")
 
     p_score = sub.add_parser("score", help="RE standardness score of a script")
-    _add_common(p_score, with_search=False)
+    _add_job_flags(p_score)
 
     p_explain = sub.add_parser("explain", help="standardize and explain each change")
-    _add_common(p_explain)
+    _add_job_flags(p_explain)
 
     p_build = sub.add_parser("build-workload", help="materialize a synthetic competition")
     p_build.add_argument("name", choices=competition_names())
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n-scripts", type=int, default=None)
 
     p_leak = sub.add_parser("detect-leakage", help="flag target-leakage-like steps")
-    _add_common(p_leak)
+    _add_job_flags(p_leak)
 
     p_index = sub.add_parser(
         "index", help="build / update / inspect a persistent corpus index"
@@ -332,24 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument("--socket", help="server unix socket path")
     p_client.add_argument("--host", help="server TCP host (with --port)")
     p_client.add_argument("--port", type=int, help="server TCP port")
-    p_client.add_argument("--script", help="user script path (job ops)")
-    p_client.add_argument("--corpus-dir",
-                          help="directory of peer scripts (read locally and "
-                          "inlined, so TCP servers need no shared filesystem)")
-    p_client.add_argument("--data-dir",
-                          help="dataset directory *on the server's* filesystem")
-    p_client.add_argument("--target",
-                          help="target column (switches to the tau_M intent)")
-    p_client.add_argument("--tau-j", type=float, default=0.9,
-                          help="table-Jaccard threshold (default 0.9)")
-    p_client.add_argument("--tau-m", type=float, default=1.0,
-                          help="model-performance threshold %% (with --target)")
-    p_client.add_argument("--seq", type=int, default=None,
-                          help="max transformations (server default otherwise)")
-    p_client.add_argument("--beam-size", type=int, default=None,
-                          help="beam size K (server default otherwise)")
-    p_client.add_argument("--sample-rows", type=int, default=None,
-                          help="row sample for constraint checks")
+    _add_job_flags(p_client, local=False)
     p_client.add_argument("--deadline-s", type=float, default=None,
                           help="per-request SLA in seconds")
     p_client.add_argument("--timeout", type=float, default=300.0,
@@ -358,62 +351,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_sample_rows(args) -> Optional[int]:
-    return None if args.sample_rows == 0 else args.sample_rows
+def cmd_job(args) -> int:
+    """standardize / score / explain / detect-leakage, run in-process.
 
-
-def cmd_standardize(args) -> int:
+    The system is curated from --corpus-dir/--index/--retrieve-k; the
+    job itself runs through the server's :func:`execute_job`.
+    """
+    op = args.command.replace("-", "_")
     corpus = _corpus_input(args)
-    config = _make_config(args)
-    config.sample_rows = _resolve_sample_rows(args)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(
-        corpus, data_dir=args.data_dir, intent=_make_intent(args), config=config
-    )
+    params = _job_params(args)
+    if args.retrieve_k is not None:
+        params["config"]["retrieval_k"] = args.retrieve_k
+        params["config"]["verify_retrieval"] = args.verify_retrieval
     try:
-        result = system.standardize(_read_script(args.script))
-    except StandardizationError as exc:
+        config, intent = job_inputs(op, params)
+        if args.retrieve_k is not None:
+            corpus = _retrieval_pool(corpus, config)
+        system = build_system(corpus, args.data_dir, intent, config)
+        result = execute_job({"op": op, "params": params}, system=system)
+    except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(result.output_script)
-    print(f"\n# {result.summary().replace(chr(10), chr(10) + '# ')}", file=sys.stderr)
+    _RENDERERS[op](result, args)
+    return 0
+
+
+def _render_standardize(result: Dict[str, Any], args) -> None:
+    print(result["output_script"])
+    summary = format_summary(
+        result["re_before"],
+        result["re_after"],
+        result["improvement"],
+        result["intent_delta"],
+        result["transformations"],
+    )
+    print(f"\n# {summary.replace(chr(10), chr(10) + '# ')}", file=sys.stderr)
     if args.output:
         with open(args.output, "w") as handle:
-            handle.write(result.output_script + "\n")
-    return 0
+            handle.write(result["output_script"] + "\n")
 
 
-def cmd_score(args) -> int:
-    corpus = _corpus_input(args)
-    config = LSConfig(dialect=args.dialect)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(corpus, config=config)
-    score = system.score(_read_script(args.script))
-    print(f"{score:.4f}")
-    return 0
+def _render_score(result: Dict[str, Any], args) -> None:
+    print(f"{result['score']:.4f}")
 
 
-def cmd_explain(args) -> int:
-    corpus = _corpus_input(args)
-    config = _make_config(args)
-    config.sample_rows = _resolve_sample_rows(args)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(
-        corpus, data_dir=args.data_dir, intent=_make_intent(args), config=config
-    )
-    try:
-        result = system.standardize(_read_script(args.script))
-    except StandardizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    explanations = explain_result(result, system.vocabulary)
-    if not explanations:
+def _render_explain(result: Dict[str, Any], args) -> None:
+    if not result["explanations"]:
         print("script is already standard; no changes recommended")
-        return 0
-    for explanation in explanations:
-        print(explanation.render())
-    print(f"\noverall: {result.improvement:.1f}% RE improvement")
-    return 0
+        return
+    for text in result["explanations"]:
+        print(text)
+    print(f"\noverall: {result['improvement']:.1f}% RE improvement")
+
+
+def _render_detect_leakage(result: Dict[str, Any], args) -> None:
+    if not result["flagged"]:
+        print("no out-of-the-ordinary steps flagged")
+        return
+    print("steps flagged as out-of-the-ordinary (removed by standardization):")
+    for flag in result["flagged"]:
+        print(
+            f"  {flag['statement']}    "
+            f"[in {flag['prevalence'] * 100:.0f}% of corpus scripts]"
+        )
+
+
+_RENDERERS = {
+    "standardize": _render_standardize,
+    "score": _render_score,
+    "explain": _render_explain,
+    "detect_leakage": _render_detect_leakage,
+}
 
 
 def cmd_build_workload(args) -> int:
@@ -428,30 +436,6 @@ def cmd_build_workload(args) -> int:
     print(f"data:    {os.path.join(corpus.data_dir, corpus.data_file)}")
     print(f"scripts: {scripts_dir} ({len(corpus.scripts)} files)")
     print(f"target:  {corpus.target} ({corpus.task})")
-    return 0
-
-
-def cmd_detect_leakage(args) -> int:
-    corpus = _corpus_input(args)
-    config = _make_config(args)
-    config.sample_rows = _resolve_sample_rows(args)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(
-        corpus, data_dir=args.data_dir, intent=_make_intent(args), config=config
-    )
-    try:
-        result = system.standardize(_read_script(args.script))
-    except StandardizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    removed = result.removed_statements()
-    if not removed:
-        print("no out-of-the-ordinary steps flagged")
-        return 0
-    print("steps flagged as out-of-the-ordinary (removed by standardization):")
-    for line in removed:
-        prevalence = system.vocabulary.statement_frequency(line)
-        print(f"  {line}    [in {prevalence * 100:.0f}% of corpus scripts]")
     return 0
 
 
@@ -615,23 +599,8 @@ def cmd_client(args) -> int:
             raise SystemExit(f"error: {args.op} requires --script")
         if not args.corpus_dir:
             raise SystemExit(f"error: {args.op} requires --corpus-dir")
-        params = {
-            "script": _read_script(args.script),
-            "corpus": _corpus_scripts(args.corpus_dir),
-            "data_dir": args.data_dir,
-            "target": args.target,
-            "tau_m": args.tau_m,
-            "tau_j": args.tau_j,
-            "config": {
-                name: value
-                for name, value in (
-                    ("seq", args.seq),
-                    ("beam_size", args.beam_size),
-                    ("sample_rows", args.sample_rows),
-                )
-                if value is not None
-            },
-        }
+        params = _job_params(args)
+        params["corpus"] = _corpus_scripts(args.corpus_dir)
         message = {"op": op, "params": params}
         if args.deadline_s is not None:
             message["deadline_s"] = args.deadline_s
@@ -649,11 +618,11 @@ def cmd_client(args) -> int:
 _COMMANDS = {
     "dialect": cmd_dialect,
     "index": cmd_index,
-    "standardize": cmd_standardize,
-    "score": cmd_score,
-    "explain": cmd_explain,
+    "standardize": cmd_job,
+    "score": cmd_job,
+    "explain": cmd_job,
     "build-workload": cmd_build_workload,
-    "detect-leakage": cmd_detect_leakage,
+    "detect-leakage": cmd_job,
     "serve": cmd_serve,
     "client": cmd_client,
 }

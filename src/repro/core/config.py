@@ -33,7 +33,7 @@ class LSConfig:
         (True) or only once sequences are complete (False).
     sample_rows:
         Row cap applied when loading D_IN inside constraint checks; None
-        disables sampling.
+        disables sampling.  Must be >= 1 when set.
     operation_groups:
         When set, cluster the corpus's 1-gram atoms into this many
         semantic operation families and only propose each family's most
@@ -162,6 +162,11 @@ class LSConfig:
             raise ValueError(f"seq must be >= 1, got {self.seq}")
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
+        if self.sample_rows is not None and self.sample_rows < 1:
+            raise ValueError(
+                "sample_rows must be >= 1 when set (None = no sampling), "
+                f"got {self.sample_rows}"
+            )
         if self.diversity_clusters is not None and self.diversity_clusters < 1:
             raise ValueError("diversity_clusters must be >= 1 when set")
         if self.operation_groups is not None and self.operation_groups < 1:

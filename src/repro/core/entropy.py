@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..lang.errors import NoDataFlowError
 from ..lang.parser import EdgeDelta, ScriptDAG, Statement
 from ..lang.vocabulary import CorpusVocabulary
 
@@ -57,9 +58,9 @@ def relative_entropy(
     p_total = sum(p_counts.values())
     q_total = sum(q_counts.values())
     if p_total == 0:
-        raise ValueError("script has no data-flow edges; RE is undefined")
+        raise NoDataFlowError("script has no data-flow edges; RE is undefined")
     if q_total == 0:
-        raise ValueError("corpus has no data-flow edges; RE is undefined")
+        raise NoDataFlowError("corpus has no data-flow edges; RE is undefined")
     if epsilon is None:
         epsilon = 0.5 / q_total
     if epsilon <= 0:
@@ -163,7 +164,7 @@ class RelativeEntropyScorer:
     def score_stats(self, stats: REStats) -> float:
         """``RE = (S1 − S2)/T − log2(T)`` off the histograms."""
         if stats.total <= 0:
-            raise ValueError("script has no data-flow edges; RE is undefined")
+            raise NoDataFlowError("script has no data-flow edges; RE is undefined")
         s1 = math.fsum(n * _c_log2_c(c) for c, n in stats.count_hist.items())
         s2 = math.fsum(w * level for level, w in stats.q_hist.items())
         return (s1 - s2) / stats.total - math.log2(stats.total)
@@ -253,7 +254,7 @@ class RelativeEntropyScorer:
                 cur = q_hist.get(level, 0)
             qpatch[level] = cur + change
         if total <= 0:
-            raise ValueError("script has no data-flow edges; RE is undefined")
+            raise NoDataFlowError("script has no data-flow edges; RE is undefined")
         s1_base, s2_base = self._base_terms(base_stats)
         terms = [t for c, t in s1_base if c not in cpatch]
         terms.extend(n * _c_log2_c(c) for c, n in cpatch.items() if n)
@@ -295,7 +296,7 @@ class RelativeEntropyScorer:
     # ----------------------------------------------------------- whole-script
     def score_edge_counts(self, p_counts: Counter) -> float:
         if not self._q_counts:
-            raise ValueError("corpus has no data-flow edges; RE is undefined")
+            raise NoDataFlowError("corpus has no data-flow edges; RE is undefined")
         return self.score_stats(self.stats_from_counts(p_counts))
 
     def score_dag(self, dag: ScriptDAG) -> float:

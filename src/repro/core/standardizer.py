@@ -35,7 +35,12 @@ from .entropy import RelativeEntropyScorer, percent_improvement
 from .intent import IntentMeasure, IntentStats, PreparedIntent, table_fingerprint
 from .transformations import Transformation
 
-__all__ = ["LucidScript", "StandardizationResult", "StandardizationError"]
+__all__ = [
+    "LucidScript",
+    "StandardizationError",
+    "StandardizationResult",
+    "format_summary",
+]
 
 
 #: Bounds of the worker-resident caches below.
@@ -228,15 +233,30 @@ class StandardizationResult:
         return added
 
     def summary(self) -> str:
-        lines = [
-            f"RE: {self.re_before:.3f} -> {self.re_after:.3f} "
-            f"({self.improvement:+.1f}% improvement)",
-        ]
-        if self.intent_delta is not None:
-            lines.append(f"intent delta: {self.intent_delta:.3f}")
-        for t in self.transformations:
-            lines.append(f"  {t.describe()}")
-        return "\n".join(lines)
+        return format_summary(
+            self.re_before,
+            self.re_after,
+            self.improvement,
+            self.intent_delta,
+            [t.describe() for t in self.transformations],
+        )
+
+
+def format_summary(
+    re_before: float,
+    re_after: float,
+    improvement: float,
+    intent_delta: Optional[float],
+    transformations: Sequence[str],
+) -> str:
+    """The RE change, intent delta and described transformations of one
+    standardization, one per line (a standardize job result has exactly
+    these fields)."""
+    lines = [f"RE: {re_before:.3f} -> {re_after:.3f} ({improvement:+.1f}% improvement)"]
+    if intent_delta is not None:
+        lines.append(f"intent delta: {intent_delta:.3f}")
+    lines.extend(f"  {described}" for described in transformations)
+    return "\n".join(lines)
 
 
 class LucidScript:
@@ -424,13 +444,15 @@ class LucidScript:
         across standardize() calls — so every phase resumes from prefixes
         any earlier phase already snapshotted.  Rebuilt if the config's
         sampling (or dialect) changes — snapshots are only valid within
-        one setting.
+        one setting.  The whole-script budget is not part of that
+        setting: a snapshot is the same whatever the budget, so a
+        changed ``exec_timeout_s`` (the server clamps it to each
+        request's deadline) is applied to the live executor.
         """
         if (
             self._executor is None
             or self._executor.sample_rows != self.config.sample_rows
             or self._executor._snapshots.capacity != self.config.snapshot_budget
-            or self._executor.exec_timeout_s != self.config.exec_timeout_s
             or self._executor.statement_timeout_s != self.config.statement_timeout_s
             or self._executor.dialect.name != self.dialect.name
         ):
@@ -438,10 +460,10 @@ class LucidScript:
                 data_dir=self.data_dir,
                 sample_rows=self.config.sample_rows,
                 snapshot_budget=self.config.snapshot_budget,
-                exec_timeout_s=self.config.exec_timeout_s,
                 statement_timeout_s=self.config.statement_timeout_s,
                 dialect=self.dialect,
             )
+        self._executor.exec_timeout_s = self.config.exec_timeout_s
         return self._executor
 
     # ------------------------------------------------------------------ scoring

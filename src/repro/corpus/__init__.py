@@ -22,7 +22,6 @@ from .cache import (
     configure_shared_store,
     corpus_cache_counters,
     corpus_key,
-    shared_retrieval_index,
     shared_store,
 )
 from .index import (
@@ -76,7 +75,6 @@ __all__ = [
     "read_corpus_dir",
     "save_index",
     "save_retrieval_index",
-    "shared_retrieval_index",
     "shared_store",
     "signature_similarity",
     "table_signature",

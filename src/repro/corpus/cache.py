@@ -1,6 +1,6 @@
 """Process-wide warm corpus cache.
 
-Three layers, all content-addressed:
+Two layers, both content-addressed:
 
 * a shared :class:`~repro.corpus.store.ScriptStore` — every unique
   corpus script is lemmatized and parsed at most once per process, no
@@ -14,11 +14,7 @@ Three layers, all content-addressed:
   ``LucidScript(corpus)`` construction over the same scripts skips even
   the counter merging and goes straight to ``to_vocabulary()``.  Keys
   are resolved through a script-text → address memo, so a warm lookup
-  hashes 40 bytes per script instead of the script itself;
-* a shared :class:`~repro.corpus.retrieval.RetrievalIndex` over the
-  shared store — the process-wide pool that ``top_k`` queries search,
-  populated once (e.g. by the harness prewarm or ``index retrieve``)
-  and reused by every request.
+  hashes 40 bytes per script instead of the script itself.
 
 Every layer only ever returns structures that are bit-identical to a
 cold ``CorpusVocabulary.from_scripts`` build, so the cache only changes
@@ -47,7 +43,6 @@ from typing import Dict, Optional, Sequence
 
 from .._lru import LRUCache
 from .index import CorpusIndex
-from .retrieval import RetrievalIndex
 from .store import ScriptStore
 
 __all__ = [
@@ -57,7 +52,6 @@ __all__ = [
     "configure_shared_store",
     "corpus_cache_counters",
     "corpus_key",
-    "shared_retrieval_index",
     "shared_store",
 ]
 
@@ -77,7 +71,6 @@ _SHARED_CAPACITY: Optional[int] = SHARED_STORE_LIMIT
 #: one shared store per dialect — corpora never mix dialects, so the
 #: warm layers are partitioned by dialect name (created lazily)
 _SHARED_STORES: Dict[str, ScriptStore] = {}
-_SHARED_RETRIEVALS: Dict[str, RetrievalIndex] = {}
 _INDEX_CACHE: LRUCache = LRUCache(INDEX_CACHE_LIMIT, thread_safe=True)
 #: ``(dialect, raw script text)`` -> content address (or ``"failed:"``
 #: marker).  Keyed per dialect because lemmatization is dialect-driven:
@@ -140,29 +133,6 @@ def configure_shared_store(capacity: Optional[int]) -> ScriptStore:
         _SHARED_CAPACITY = capacity
         clear_corpus_cache()
         return shared_store()
-
-
-def shared_retrieval_index(dialect: str = "pandas") -> RetrievalIndex:
-    """The process-wide retrieval pool over the shared store.
-
-    Created lazily and empty; callers (harness prewarm, the CLI) add
-    pool scripts through the normal ``add_script`` delta path, and every
-    subsequent request shares the buckets.  One pool per dialect.
-
-    Invariant: the returned index is always built over the *current*
-    shared store — ``shared_retrieval_index().store is shared_store()``
-    holds after any configure/clear sequence (per dialect).  A stale pin
-    (e.g. a cached module-level reference created before a
-    ``configure_shared_store``) is detected and rebuilt here rather than
-    silently retrieving against the orphaned store.
-    """
-    with _LOCK:
-        store = shared_store(dialect)
-        retrieval = _SHARED_RETRIEVALS.get(dialect)
-        if retrieval is None or retrieval.store is not store:
-            retrieval = RetrievalIndex(store=store)
-            _SHARED_RETRIEVALS[dialect] = retrieval
-        return retrieval
 
 
 def _script_address(script: str, dialect: str = "pandas") -> str:
@@ -260,7 +230,6 @@ def clear_corpus_cache() -> None:
     """Drop every warm-cache layer (tests and memory-pressure hooks)."""
     with _LOCK:
         _SHARED_STORES.clear()
-        _SHARED_RETRIEVALS.clear()
         _INDEX_CACHE.clear()
         _INDEX_CACHE.hits = 0
         _INDEX_CACHE.misses = 0

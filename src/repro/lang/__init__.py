@@ -5,7 +5,12 @@ n-gram (statement) granularity, and corpus vocabulary construction.
 """
 
 from .atoms import NGRAM, ONEGRAM, Atom, Edge
-from .errors import ScriptError, ScriptParseError, UnsupportedScriptError
+from .errors import (
+    NoDataFlowError,
+    ScriptError,
+    ScriptParseError,
+    UnsupportedScriptError,
+)
 from .lemmatize import lemmatize, read_csv_files, split_statements
 from .parser import (
     EdgeDelta,
@@ -28,6 +33,7 @@ __all__ = [
     "Edge",
     "EdgeDelta",
     "EdgeState",
+    "NoDataFlowError",
     "ScriptDAG",
     "ScriptError",
     "ScriptParseError",

@@ -237,18 +237,13 @@ def resident_executor(
     process, so waves dispatched rounds apart still resume from snapshots
     made by their shard-mates — the cache amortization the stateless pool
     threw away per task.  The dialect is part of the setting: snapshots
-    made against one API surface never serve another.
+    made against one API surface never serve another.  The whole-script
+    budget is not: snapshots do not depend on it, so each task's
+    ``exec_timeout_s`` is applied to the resident executor.
     """
     from .incremental import IncrementalExecutor
 
-    key = (
-        data_dir,
-        sample_rows,
-        exec_timeout_s,
-        statement_timeout_s,
-        snapshot_budget,
-        dialect,
-    )
+    key = (data_dir, sample_rows, statement_timeout_s, snapshot_budget, dialect)
     executors = resident["executors"]
     executor = executors.get(key)
     if executor is None:
@@ -256,13 +251,13 @@ def resident_executor(
             data_dir=data_dir,
             sample_rows=sample_rows,
             snapshot_budget=snapshot_budget,
-            exec_timeout_s=exec_timeout_s,
             statement_timeout_s=statement_timeout_s,
             dialect=dialect,
         )
         executors[key] = executor
         while len(executors) > EXECUTOR_CACHE_LIMIT:
             executors.pop(next(iter(executors)))
+    executor.exec_timeout_s = exec_timeout_s
     return executor
 
 

@@ -229,7 +229,9 @@ class WarmRegistry:
         system = self._systems.get(resolved.key)
         if system is not None:
             return system, True
-        system = jobs_mod.build_system(resolved)
+        system = jobs_mod.build_system(
+            resolved.scripts, resolved.data_dir, resolved.intent, resolved.config
+        )
         self._systems[resolved.key] = system
         return system, False
 
@@ -504,26 +506,15 @@ class StandardizationServer:
         clamped = False
         try:
             system, warm_hit = self.registry.acquire(resolved)
-            job_dict = job.job
             budget = resolved.config.exec_timeout_s
             restore = system.config.exec_timeout_s
             if remaining is not None and (budget is None or remaining < budget):
                 # SLA -> exec budget: what is left of the deadline bounds
                 # every sandboxed script run inside this job's search
                 clamped = True
-                job_dict = {
-                    "op": job.job["op"],
-                    "params": {
-                        **job.job["params"],
-                        "config": {
-                            **job.job["params"]["config"],
-                            "exec_timeout_s": remaining,
-                        },
-                    },
-                }
                 system.config.exec_timeout_s = remaining
             try:
-                result = jobs_mod.execute_job(job_dict, system=system)
+                result = jobs_mod.execute_job(job.job, system=system)
                 response = protocol.ok_response(
                     job.request_id, result, {"warm": warm_hit}
                 )
@@ -546,7 +537,7 @@ class StandardizationServer:
             # Deadline-clamped jobs are skipped: a wall-clock budget can
             # legitimately fire on one side only.
             try:
-                audit_job(job_dict, response)
+                audit_job(job.job, response)
                 self.stats.record_audit(True)
             except ServerMismatchError as exc:
                 self.stats.record_audit(False)

@@ -9,9 +9,12 @@ overrides.  Canonicalization happens once at admission
 
 * the warm path — :func:`execute_job` against a registry-held
   :class:`~repro.core.LucidScript` whose corpus index, prefix
-  snapshots, and prepared intents survive across requests — and
+  snapshots, and prepared intents survive across requests —
 * the cold path — the same function in a fresh
-  :mod:`repro.server.oneshot` process with every cache empty.
+  :mod:`repro.server.oneshot` process with every cache empty — and
+* the local CLI commands, which resolve config and intent with
+  :func:`job_inputs`, curate their own corpus (``--index``,
+  ``--retrieve-k``) and render what :func:`execute_job` returns.
 
 Both produce the same result dict byte-for-byte, because every warm
 structure in this repo is bit-identical to its cold rebuild by
@@ -24,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from hashlib import sha1
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import (
     LSConfig,
@@ -35,7 +38,7 @@ from ..core import (
 )
 from ..core.explain import explain_result
 from ..corpus import corpus_key, read_corpus_dir
-from ..lang import ScriptError
+from ..lang import NoDataFlowError, ScriptError
 from .protocol import JOB_OPS, canonical
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "ResolvedJob",
     "build_system",
     "execute_job",
+    "job_inputs",
     "normalize_job",
     "resolve_job",
     "system_key",
@@ -75,9 +79,8 @@ def _normalize_intent(op: str, params: Dict[str, Any]) -> Optional[Dict[str, Any
     """The explicit intent descriptor for one job (None = no intent).
 
     Accepts either an explicit ``intent`` object or the CLI-style
-    ``target`` / ``tau_m`` / ``tau_j`` shorthand, mirroring
-    ``repro.cli._make_intent``: a target switches to the
-    model-performance measure, otherwise table Jaccard applies.
+    ``target`` / ``tau_m`` / ``tau_j`` shorthand: a target switches to
+    the model-performance measure, otherwise table Jaccard applies.
     ``score`` never uses an intent (scoring has no constraints).
     """
     if op == "score":
@@ -206,11 +209,14 @@ class ResolvedJob:
 def _build_intent(descriptor: Optional[Dict[str, Any]]):
     if descriptor is None:
         return None
-    if descriptor["kind"] == "table_jaccard":
-        return TableJaccardIntent(tau=descriptor["tau"])
-    return ModelPerformanceIntent(
-        target=descriptor["target"], tau=descriptor["tau"]
-    )
+    try:
+        if descriptor["kind"] == "table_jaccard":
+            return TableJaccardIntent(tau=descriptor["tau"])
+        return ModelPerformanceIntent(
+            target=descriptor["target"], tau=descriptor["tau"]
+        )
+    except ValueError as exc:
+        raise JobError("bad_request", f"invalid intent: {exc}") from exc
 
 
 def resolve_job(job: Dict[str, Any]) -> ResolvedJob:
@@ -245,16 +251,24 @@ def resolve_job(job: Dict[str, Any]) -> ResolvedJob:
     )
 
 
-def build_system(resolved: ResolvedJob) -> LucidScript:
-    """A fresh :class:`LucidScript` for one resolved job (the offline
-    phase runs here — through the process-wide warm corpus cache)."""
+def job_inputs(op: str, params: Dict[str, Any]) -> Tuple[LSConfig, Optional[object]]:
+    """The :class:`LSConfig` and intent that one job's raw params ask for.
+
+    Admission's own normalizers, without the corpus: the local CLI
+    commands curate theirs from ``--corpus-dir``/``--index``/
+    ``--retrieve-k`` and pass the system to :func:`execute_job`.
+    """
+    return (
+        LSConfig(**_normalize_config(params)),
+        _build_intent(_normalize_intent(op, params)),
+    )
+
+
+def build_system(corpus, data_dir, intent, config: LSConfig) -> LucidScript:
+    """A fresh :class:`LucidScript` for one job (the offline phase runs
+    here — through the process-wide warm corpus cache)."""
     try:
-        return LucidScript(
-            resolved.scripts,
-            data_dir=resolved.data_dir,
-            intent=resolved.intent,
-            config=resolved.config,
-        )
+        return LucidScript(corpus, data_dir=data_dir, intent=intent, config=config)
     except ScriptError as exc:
         raise JobError("bad_request", f"corpus failed to curate: {exc}") from exc
 
@@ -288,7 +302,10 @@ def execute_job(
     no cache counters, no SearchStats.
     """
     if system is None:
-        system = build_system(resolve_job(job))
+        resolved = resolve_job(job)
+        system = build_system(
+            resolved.scripts, resolved.data_dir, resolved.intent, resolved.config
+        )
     op = job["op"]
     script = job["params"]["script"]
     try:
@@ -297,6 +314,8 @@ def execute_job(
         result = system.standardize(script)
     except StandardizationError as exc:
         raise JobError("standardization", str(exc)) from exc
+    except NoDataFlowError as exc:
+        raise JobError("bad_request", str(exc)) from exc
     except ScriptError as exc:
         raise JobError("bad_request", f"input script failed to parse: {exc}") from exc
     if op == "standardize":
@@ -309,7 +328,7 @@ def execute_job(
             "output_script": result.output_script,
         }
     # detect_leakage: flag removed (out-of-the-ordinary) statements with
-    # their corpus prevalence, exactly like the CLI's detect-leakage
+    # their corpus prevalence
     flagged = [
         {
             "prevalence": system.vocabulary.statement_frequency(line),

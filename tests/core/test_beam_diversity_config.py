@@ -234,6 +234,10 @@ class TestConfig:
             LSConfig(beam_size=0)
         with pytest.raises(ValueError):
             LSConfig(diversity_clusters=0)
+        for sample_rows in (0, -5):
+            with pytest.raises(ValueError, match="sample_rows"):
+                LSConfig(sample_rows=sample_rows)
+        assert LSConfig(sample_rows=None).sample_rows is None  # no sampling
 
     def test_clusters_default_to_beam_size(self):
         assert LSConfig(beam_size=4).clusters == 4

@@ -217,18 +217,3 @@ class TestSharedStoreBound:
             index.verify()  # still bit-identical to a cold rebuild
         finally:
             configure_shared_store(SHARED_STORE_LIMIT)
-
-
-class TestSharedRetrievalIndex:
-    def test_singleton_over_shared_store(self, diabetes_corpus):
-        from repro.corpus import shared_retrieval_index
-
-        pool = shared_retrieval_index()
-        assert pool is shared_retrieval_index()
-        assert pool.store is shared_store()
-        for script in diabetes_corpus:
-            pool.add_script(script)
-        assert pool.n_scripts == len(diabetes_corpus)
-        clear_corpus_cache()
-        assert shared_retrieval_index() is not pool
-        assert shared_retrieval_index().n_scripts == 0

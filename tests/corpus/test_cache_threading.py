@@ -3,10 +3,8 @@
 The server engine admits jobs (content-addressing corpora) on its event
 loop while the wave thread curates and clears, so the module-level
 cache state must survive concurrent mutation.  These are regression
-tests for the locked paths: they assert no exceptions, no lost
-invariants, and — for the retrieval pin — that
-``shared_retrieval_index().store is shared_store()`` holds after any
-configure/clear interleaving.
+tests for the locked paths: they assert no exceptions and no lost
+invariants.
 """
 
 import random
@@ -20,8 +18,6 @@ from repro.corpus import (
     clear_corpus_cache,
     configure_shared_store,
     corpus_key,
-    shared_retrieval_index,
-    shared_store,
 )
 from repro.corpus.cache import SHARED_STORE_LIMIT
 
@@ -106,10 +102,8 @@ class TestConcurrentCorpusCache:
                     elif verb < 0.85:
                         index = cached_index(corpus)
                         assert index.n_scripts == len(corpus)
-                    elif verb < 0.95:
-                        clear_corpus_cache()
                     else:
-                        shared_retrieval_index()
+                        clear_corpus_cache()
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 
@@ -121,41 +115,3 @@ class TestConcurrentCorpusCache:
         for thread in threads:
             thread.join()
         assert errors == []
-
-
-class TestRetrievalStorePin:
-    def test_invariant_after_any_configure_clear_sequence(self, diabetes_corpus):
-        """shared_retrieval_index().store is shared_store() — always."""
-        rng = random.Random(1234)
-        operations = [
-            lambda: configure_shared_store(rng.choice([2, 64, None])),
-            clear_corpus_cache,
-            shared_retrieval_index,
-            lambda: shared_store().get_or_parse(diabetes_corpus[0]),
-            lambda: cached_index(diabetes_corpus),
-        ]
-        for _ in range(50):
-            rng.choice(operations)()
-            assert shared_retrieval_index().store is shared_store()
-
-    def test_stale_pin_is_rebuilt_not_served(self):
-        """A retrieval index built over an orphaned store is detected."""
-        from repro.corpus import RetrievalIndex, ScriptStore
-        from repro.corpus import cache as cache_mod
-
-        stale = RetrievalIndex(store=ScriptStore())
-        with cache_mod._LOCK:
-            cache_mod._SHARED_RETRIEVAL = stale
-        pool = shared_retrieval_index()
-        assert pool is not stale
-        assert pool.store is shared_store()
-
-    def test_configure_resets_the_retrieval_pin(self, diabetes_corpus):
-        pool = shared_retrieval_index()
-        for script in diabetes_corpus:
-            pool.add_script(script)
-        configure_shared_store(64)
-        fresh = shared_retrieval_index()
-        assert fresh is not pool
-        assert fresh.n_scripts == 0
-        assert fresh.store is shared_store()

@@ -176,6 +176,41 @@ class TestWarmAndCoalesced:
         assert stats["deadline_misses"] == 1
 
 
+    def test_deadline_clamped_job_keeps_the_warm_executor(
+        self, tmp_path, diabetes_corpus, alex_script, diabetes_dir
+    ):
+        """A deadline only lowers the exec budget for its own job: the
+        warm system's executor and its prefix snapshots survive both the
+        clamped job and the unclamped one after it."""
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+
+                def standardize(**extra):
+                    return client.standardize(
+                        script=alex_script,
+                        corpus=diabetes_corpus,
+                        data_dir=diabetes_dir,
+                        config=TINY,
+                        **extra,
+                    )
+
+                first = standardize()
+                (key,) = handle.server.registry._systems.keys()
+                system = handle.server.registry._systems.peek(key)
+                executor = system._executor
+                snapshots = executor.snapshot_count()
+                assert snapshots > 0
+                clamped = standardize(deadline_s=120.0)
+                assert system._executor is executor
+                after = standardize()
+                assert system._executor is executor
+                stats = client.stats()
+        assert executor.snapshot_count() >= snapshots
+        assert executor.exec_timeout_s is None  # the clamp was undone
+        assert first == clamped == after
+        assert stats["warm_hits"] == 2
+
+
 class TestErrorVerdicts:
     def test_missing_script_is_bad_request(self, tmp_path, diabetes_corpus):
         with _server(tmp_path) as handle:
@@ -195,6 +230,40 @@ class TestErrorVerdicts:
                         script="not python (((", corpus=diabetes_corpus, config=TINY
                     )
         assert excinfo.value.kind == "bad_request"
+
+    @pytest.mark.parametrize("edgeless", ["script", "corpus"])
+    @pytest.mark.parametrize("op", ["score", "standardize"])
+    def test_edgeless_script_or_corpus_is_bad_request(
+        self, tmp_path, diabetes_corpus, alex_script, op, edgeless
+    ):
+        params = {"script": alex_script, "corpus": diabetes_corpus, "config": TINY}
+        if edgeless == "script":
+            params["script"] = "x = 1"
+        else:
+            params["corpus"] = ["x = 1", "y = 2"]
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                response = client.request({"op": op, "params": params})
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "bad_request"
+        assert "no data-flow edges" in response["error"]["message"]
+
+    @pytest.mark.parametrize("sample_rows", [0, -5])
+    def test_nonpositive_sample_rows_rejected_at_admission(
+        self, tmp_path, diabetes_corpus, alex_script, sample_rows
+    ):
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client.standardize(
+                        script=alex_script,
+                        corpus=diabetes_corpus,
+                        config={"sample_rows": sample_rows},
+                    )
+                stats = client.stats()
+        assert excinfo.value.kind == "bad_request"
+        assert "sample_rows" in str(excinfo.value)
+        assert stats["jobs_total"] == 0  # refused before it was queued
 
     def test_audit_mode_serves_verified_results(
         self, tmp_path, diabetes_corpus, alex_script

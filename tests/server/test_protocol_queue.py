@@ -124,6 +124,17 @@ class TestNormalizeJob:
         with pytest.raises(JobError):
             normalize_job(self._raw(diabetes_corpus, config={"beam_size": 0}))
 
+    @pytest.mark.parametrize("sample_rows", [0, -5])
+    def test_rejects_nonpositive_sample_rows(self, diabetes_corpus, sample_rows):
+        # a zero-row cap used to be admitted and fail later as a
+        # misleading "input script must execute" standardization error
+        with pytest.raises(JobError) as excinfo:
+            normalize_job(
+                self._raw(diabetes_corpus, config={"sample_rows": sample_rows})
+            )
+        assert excinfo.value.kind == "bad_request"
+        assert "sample_rows" in str(excinfo.value)
+
     def test_corpus_dir_resolved_at_admission(self, tmp_path):
         (tmp_path / "a.py").write_text("df = 1\n")
         job = normalize_job(

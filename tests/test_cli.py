@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
+
+TABLEREPORT_CORPUS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples",
+    "tablereport_corpus",
+)
 
 
 @pytest.fixture()
@@ -81,6 +88,54 @@ class TestStandardize:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestJobErrors:
+    """A job that fails prints ``error: ...`` and exits 1, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["score", "standardize"])
+    def test_edgeless_script(self, command, corpus_dir, tmp_path, diabetes_dir, capsys):
+        edgeless = tmp_path / "edgeless.py"
+        edgeless.write_text("x = 1\n")
+        code = main([command, "--script", str(edgeless), "--corpus-dir", corpus_dir,
+                     "--data-dir", diabetes_dir])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: script has no data-flow edges; RE is undefined\n"
+
+    def test_edgeless_corpus(self, script_path, tmp_path, capsys):
+        peers = tmp_path / "edgeless_peers"
+        peers.mkdir()
+        (peers / "a.py").write_text("x = 1\n")
+        (peers / "b.py").write_text("y = 2\n")
+        assert main(["score", "--script", script_path, "--corpus-dir", str(peers)]) == 1
+        assert capsys.readouterr().err == (
+            "error: corpus has no data-flow edges; RE is undefined\n"
+        )
+
+    def test_unparseable_script(self, corpus_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text("not python (((\n")
+        assert main(["score", "--script", str(bad), "--corpus-dir", corpus_dir]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: input script failed to parse: "
+        )
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--sample-rows", "-5"], "error: invalid config: sample_rows must be >= 1"),
+            (["--tau-j", "5"], "error: invalid intent: tau_J must be in [0, 1]"),
+        ],
+    )
+    def test_invalid_flag_value(
+        self, flags, message, corpus_dir, script_path, diabetes_dir, capsys
+    ):
+        code = main(["standardize", "--script", script_path, "--corpus-dir", corpus_dir,
+                     "--data-dir", diabetes_dir, *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestExplain:
@@ -381,3 +436,99 @@ class TestRetrieveKFlag:
         )
         assert code == 0
         assert "df" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def server_socket(tmp_path):
+    from repro.corpus import clear_corpus_cache
+    from repro.sandbox import kill_worker_pool
+    from repro.server import ServerConfig, ServerThread
+
+    clear_corpus_cache()
+    try:
+        with ServerThread(ServerConfig(socket_path=str(tmp_path / "repro.sock"))) as handle:
+            yield handle.config.socket_path
+    finally:
+        kill_worker_pool()
+        clear_corpus_cache()
+
+
+class TestClient:
+    """``repro client`` sends the params the local commands run, and the
+    server answers what :func:`execute_job` computes in-process."""
+
+    SEARCH = ["--tau-j", "0.5", "--seq", "4", "--beam-size", "2", "--sample-rows", "120"]
+
+    @staticmethod
+    def _client(capsys, op, socket, flags):
+        code = main(["client", op, "--socket", socket, *flags])
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("op", ["standardize", "score", "explain", "detect-leakage"])
+    def test_matches_execute_job_and_the_local_command(
+        self, op, server_socket, script_path, corpus_dir, diabetes_dir,
+        alex_script, diabetes_corpus, capsys,
+    ):
+        from repro.server.jobs import execute_job, normalize_job
+        from repro.server.protocol import canonical
+
+        flags = ["--script", script_path, "--corpus-dir", corpus_dir,
+                 "--data-dir", diabetes_dir, *self.SEARCH]
+        code, response = self._client(capsys, op, server_socket, flags)
+        assert code == 0, response
+        job = normalize_job(
+            {
+                "op": op.replace("-", "_"),
+                "params": {
+                    "script": alex_script + "\n",
+                    "corpus": [script + "\n" for script in diabetes_corpus],
+                    "data_dir": diabetes_dir,
+                    "tau_j": 0.5,
+                    "config": {"seq": 4, "beam_size": 2, "sample_rows": 120},
+                },
+            }
+        )
+        result = response["result"]
+        assert result == json.loads(canonical(execute_job(job)))
+
+        assert main([op, *flags]) == 0
+        local = capsys.readouterr().out
+        if op == "score":
+            assert local == f"{result['score']:.4f}\n"
+        elif op == "standardize":
+            assert local == result["output_script"] + "\n"
+        elif op == "explain":
+            assert all(text in local for text in result["explanations"])
+            assert f"overall: {result['improvement']:.1f}%" in local
+        else:
+            assert all(flag["statement"] in local for flag in result["flagged"])
+
+    def test_sends_the_dialect(self, server_socket, capsys):
+        flags = ["--dialect", "tablereport",
+                 "--script", os.path.join(TABLEREPORT_CORPUS, "prep_03.py"),
+                 "--corpus-dir", TABLEREPORT_CORPUS, "--data-dir", TABLEREPORT_CORPUS]
+        code, response = self._client(capsys, "standardize", server_socket, flags)
+        assert code == 0, response
+        assert "report = design.timing_report()" in response["result"]["output_script"]
+        assert main(["standardize", *flags]) == 0
+        assert capsys.readouterr().out == response["result"]["output_script"] + "\n"
+
+    def test_sample_rows_zero_means_no_sampling(
+        self, server_socket, script_path, corpus_dir, diabetes_dir, capsys
+    ):
+        flags = ["--script", script_path, "--corpus-dir", corpus_dir,
+                 "--data-dir", diabetes_dir, "--seq", "4", "--sample-rows", "0"]
+        code, response = self._client(capsys, "standardize", server_socket, flags)
+        assert code == 0, response
+        assert main(["standardize", *flags]) == 0
+        assert capsys.readouterr().out == response["result"]["output_script"] + "\n"
+
+    def test_failed_job_exits_1(self, server_socket, corpus_dir, tmp_path, capsys):
+        edgeless = tmp_path / "edgeless.py"
+        edgeless.write_text("x = 1\n")
+        code, response = self._client(
+            capsys, "score", server_socket,
+            ["--script", str(edgeless), "--corpus-dir", corpus_dir],
+        )
+        assert code == 1
+        assert response["error"]["kind"] == "bad_request"
