@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.baselines import Learn2Clean
 from repro.core import LucidScript, TableJaccardIntent, percent_improvement
-from repro.core.entropy import RelativeEntropyScorer
 from repro.harness import render_table
-from repro.lang import CorpusVocabulary, ScriptError, parse_script
+from repro.lang import ScriptError
 from repro.ml import DownstreamEvaluationError, evaluate_downstream
 from repro.sandbox import run_script
 
@@ -45,13 +44,11 @@ def test_extra_learn2clean_objectives(benchmark):
     input_acc, ls_acc, l2c_acc = [], [], []
 
     for user_script, rest in list(corpus.leave_one_out())[:N_SCRIPTS]:
-        scorer = RelativeEntropyScorer(CorpusVocabulary.from_scripts(rest))
-        re_before = scorer.score_dag(parse_script(user_script))
-
         system = LucidScript(
             rest, data_dir=corpus.data_dir,
             intent=TableJaccardIntent(tau=0.9), config=bench_config(),
         )
+        re_before = system.score(user_script)
         ls_result = system.standardize(user_script)
         ls_re.append(ls_result.improvement)
         ls_acc.append(_accuracy_of(ls_result.output_script, corpus))
@@ -62,7 +59,7 @@ def test_extra_learn2clean_objectives(benchmark):
         )
         rewritten = cleaner.rewrite(user_script, rest)
         try:
-            re_after = scorer.score_dag(parse_script(rewritten))
+            re_after = system.score(rewritten)
             l2c_re.append(percent_improvement(re_before, re_after))
         except ScriptError:
             l2c_re.append(0.0)

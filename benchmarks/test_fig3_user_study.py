@@ -47,13 +47,9 @@ def _preservation(corpus, user_script, outputs):
 def _most_nonstandard_case(corpus):
     """The study shows a use case with room to standardize: pick the
     leave-one-out script with the highest RE against its peers."""
-    from repro.core.entropy import RelativeEntropyScorer
-    from repro.lang import CorpusVocabulary, parse_script
-
     best = None
     for user_script, rest in corpus.leave_one_out():
-        scorer = RelativeEntropyScorer(CorpusVocabulary.from_scripts(rest))
-        score = scorer.score_dag(parse_script(user_script))
+        score = LucidScript(rest).score(user_script)
         if best is None or score > best[0]:
             best = (score, user_script, rest)
     return best[1], best[2]

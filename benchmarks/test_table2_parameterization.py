@@ -5,8 +5,8 @@ configuration for each of the six built corpora.
 """
 
 from repro.core import recommend_parameters
+from repro.corpus import cached_index
 from repro.harness import render_table
-from repro.lang import CorpusVocabulary
 
 from _shared import all_competitions, publish
 
@@ -28,7 +28,7 @@ def test_table2_parameterization(benchmark):
 
     corpus_rows = []
     for name, corpus in all_competitions().items():
-        stats = CorpusVocabulary.from_scripts(corpus.scripts).stats()
+        stats = cached_index(corpus.scripts).stats()
         config = recommend_parameters(stats.n_scripts, stats.uniq_edges)
         corpus_rows.append(
             [name, stats.n_scripts, stats.uniq_edges, config.seq, config.beam_size]

@@ -8,8 +8,8 @@ smallest, and Sales by far the largest data file.
 
 import os
 
+from repro.corpus import cached_index
 from repro.harness import render_table
-from repro.lang import CorpusVocabulary
 
 from _shared import all_competitions, publish
 
@@ -17,8 +17,7 @@ import repro.minipandas as pd
 
 
 def _stats_row(name, corpus):
-    vocab = CorpusVocabulary.from_scripts(corpus.scripts)
-    stats = vocab.stats()
+    stats = cached_index(corpus.scripts).stats()
     frame = pd.read_csv(os.path.join(corpus.data_dir, corpus.data_file))
     return {
         "dataset": name,
@@ -69,7 +68,7 @@ def test_table3_corpus_stats(benchmark):
 
     medical = all_competitions()["medical"]
     benchmark.pedantic(
-        lambda: CorpusVocabulary.from_scripts(medical.scripts).stats(),
+        lambda: cached_index(medical.scripts).stats(),
         rounds=3,
         iterations=1,
     )

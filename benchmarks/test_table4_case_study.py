@@ -12,10 +12,8 @@ read->split edge is rarer than on Kaggle, so s1 may score above s_u; see
 EXPERIMENTS.md.)
 """
 
-from repro.core import ModelPerformanceIntent, TableJaccardIntent
-from repro.core.entropy import RelativeEntropyScorer
+from repro.core import LucidScript, ModelPerformanceIntent, TableJaccardIntent
 from repro.harness import render_table
-from repro.lang import CorpusVocabulary, parse_script
 from repro.sandbox import run_script
 
 from _shared import competition, publish
@@ -35,7 +33,7 @@ S_2 = (
 
 def test_table4_case_study(benchmark):
     titanic = competition("titanic")
-    scorer = RelativeEntropyScorer(CorpusVocabulary.from_scripts(titanic.scripts))
+    system = LucidScript(titanic.scripts)
     jaccard = TableJaccardIntent(tau=0.9)
     model = ModelPerformanceIntent(target="Survived", tau=1.0, task="classification")
 
@@ -47,7 +45,7 @@ def test_table4_case_study(benchmark):
     base_output = output_of(S_U)
     rows, scores = [], {}
     for label, script in [("s_u", S_U), ("s_1", S_1), ("s_2", S_2)]:
-        re_score = scorer.score_dag(parse_script(script))
+        re_score = system.score(script)
         out = output_of(script)
         delta_j = jaccard.delta(base_output, out)
         delta_m = model.delta(base_output, out)
@@ -72,5 +70,5 @@ def test_table4_case_study(benchmark):
         assert scores[label][2] <= 5.0   # model accuracy shift (%)
 
     benchmark.pedantic(
-        lambda: scorer.score_dag(parse_script(S_2)), rounds=5, iterations=1
+        lambda: system.score(S_2), rounds=5, iterations=1
     )

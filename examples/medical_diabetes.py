@@ -12,7 +12,7 @@ import tempfile
 
 from repro import LSConfig, LucidScript, ModelPerformanceIntent, TableJaccardIntent
 from repro import build_competition, recommend_parameters
-from repro.lang import CorpusVocabulary
+from repro.corpus import cached_index
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
         competition = build_competition("medical", root, seed=0, n_scripts=20)
         user_script, corpus = next(competition.leave_one_out())
 
-        stats = CorpusVocabulary.from_scripts(corpus).stats()
+        stats = cached_index(corpus).stats()
         print(f"corpus: {stats.n_scripts} scripts, "
               f"{stats.uniq_onegrams} unique 1-grams, {stats.uniq_edges} unique edges")
 

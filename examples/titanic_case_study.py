@@ -12,10 +12,8 @@ Run:  python examples/titanic_case_study.py
 import tempfile
 
 from repro import build_competition
-from repro.core import ModelPerformanceIntent, TableJaccardIntent
-from repro.core.entropy import RelativeEntropyScorer
+from repro.core import LucidScript, ModelPerformanceIntent, TableJaccardIntent
 from repro.harness import render_table
-from repro.lang import CorpusVocabulary, parse_script
 from repro.sandbox import run_script
 
 S_U = (
@@ -44,9 +42,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as root:
         print("building the Titanic competition...")
         competition = build_competition("titanic", root, seed=0, n_scripts=30)
-        scorer = RelativeEntropyScorer(
-            CorpusVocabulary.from_scripts(competition.scripts)
-        )
+        system = LucidScript(competition.scripts)
         jaccard = TableJaccardIntent(tau=0.9)
         model = ModelPerformanceIntent(
             target=competition.target, tau=1.0, task=competition.task
@@ -58,7 +54,7 @@ def main() -> None:
 
         rows = []
         for label, script in [("s_u", S_U), ("s_1", S_1), ("s_2", S_2)]:
-            re_score = scorer.score_dag(parse_script(script))
+            re_score = system.score(script)
             output = run_script(
                 script, data_dir=competition.data_dir, sample_rows=400
             ).output

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..baselines import Baseline
-from ..corpus import RetrievalIndex, shared_store
 from ..core import (
     IntentMeasure,
     LSConfig,
@@ -25,8 +24,7 @@ from ..core import (
     TableJaccardIntent,
     percent_improvement,
 )
-from ..core.entropy import RelativeEntropyScorer
-from ..lang import CorpusVocabulary, ScriptError, lemmatize, parse_script
+from ..lang import ScriptError
 from ..workloads import ScriptCorpus
 
 __all__ = [
@@ -119,9 +117,12 @@ def evaluate_lucidscript(
     config: Optional[LSConfig] = None,
     max_scripts: Optional[int] = None,
     corpus_override: Optional[Sequence[str]] = None,
-    retrieval_k: Optional[int] = None,
 ) -> MethodRun:
     """Leave-one-out evaluation of LucidScript on one competition.
+
+    Every reference corpus is curated through the process-wide
+    content-addressed corpus cache, so each script is parsed once per
+    sweep however many pairs it appears in.
 
     Parameters
     ----------
@@ -138,51 +139,18 @@ def evaluate_lucidscript(
     corpus_override:
         When given, standardize against these scripts instead of the
         leave-one-out remainder (the "different corpus" scenario).
-    retrieval_k:
-        When set, run the retrieve-then-compute path: each pair's
-        reference scripts become a :class:`RetrievalIndex` pool and the
-        system curates the input's ``retrieval_k`` nearest neighbours
-        instead of the whole remainder (``config.verify_retrieval``
-        audits every query).  Pool membership is maintained as deltas
-        across pairs — the leave-one-out sweep swaps one script in and
-        one out per pair instead of rebuilding the pool.
     """
     run = MethodRun(method=f"LS ({intent_kind})", dataset=corpus.name)
     config = config or LSConfig()
-    # Prewarm the content-addressed store once: every leave-one-out
-    # reference corpus is a subset of these scripts, so each system
-    # construction inside the loop assembles its search space from
-    # cached records instead of reparsing N-1 scripts per script.
-    store = shared_store()
-    for script in corpus.scripts:
-        store.get_or_parse(script)
-    for script in corpus_override or ():
-        store.get_or_parse(script)
     pairs = list(corpus.leave_one_out())
     if max_scripts is not None:
         pairs = pairs[:max_scripts]
-    pool: Optional[RetrievalIndex] = None
-    pool_ids: Dict[str, int] = {}
-    if retrieval_k is not None:
-        config.retrieval_k = retrieval_k
-        # one pool for the whole sweep, membership adjusted per pair
-        pool = RetrievalIndex(store=shared_store())
-        if corpus_override is not None:
-            for script in corpus_override:
-                pool.add_script(script)
     for user_script, rest in pairs:
         reference = list(corpus_override) if corpus_override is not None else rest
         intent = make_intent(intent_kind, corpus, tau)
-        if pool is not None:
-            if corpus_override is None:
-                _sync_pool(pool, pool_ids, reference)
-            system = LucidScript(
-                pool, data_dir=corpus.data_dir, intent=intent, config=config
-            )
-        else:
-            system = LucidScript(
-                reference, data_dir=corpus.data_dir, intent=intent, config=config
-            )
+        system = LucidScript(
+            reference, data_dir=corpus.data_dir, intent=intent, config=config
+        )
         started = time.perf_counter()
         try:
             result = system.standardize(user_script)
@@ -197,25 +165,6 @@ def evaluate_lucidscript(
         run.breakdowns.append(result.stats.breakdown())
         run.output_scripts.append(result.output_script)
     return run
-
-
-def _sync_pool(
-    pool: RetrievalIndex, pool_ids: Dict[str, int], reference: Sequence[str]
-) -> None:
-    """Make *pool*'s membership equal *reference*, as pure deltas.
-
-    Successive leave-one-out pairs differ by two scripts (the previous
-    user script re-enters, the next one leaves), so each sync touches
-    O(1) scripts instead of rebuilding an O(N) pool per pair.
-    """
-    desired = set(reference)
-    for script in [s for s in pool_ids if s not in desired]:
-        pool.remove_script(pool_ids.pop(script))
-    for script in reference:
-        if script not in pool_ids:
-            script_id = pool.add_script(script)
-            if script_id is not None:
-                pool_ids[script] = script_id
 
 
 def evaluate_baseline(
@@ -236,15 +185,14 @@ def evaluate_baseline(
     if max_scripts is not None:
         pairs = pairs[:max_scripts]
     for user_script, rest in pairs:
-        vocabulary = CorpusVocabulary.from_scripts(rest)
-        scorer = RelativeEntropyScorer(vocabulary)
+        system = LucidScript(rest)
         started = time.perf_counter()
         output = baseline.rewrite(user_script, rest)
         run.runtimes_s.append(time.perf_counter() - started)
         run.output_scripts.append(output)
         try:
-            re_before = scorer.score_dag(parse_script(user_script))
-            re_after = scorer.score_dag(parse_script(output))
+            re_before = system.score(user_script)
+            re_after = system.score(output)
         except ScriptError:
             run.improvements.append(0.0)
             continue

@@ -6,6 +6,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..corpus import cached_index
+from ..lang import ScriptError, lemmatize
+
 __all__ = [
     "render_table",
     "render_histogram",
@@ -58,9 +61,7 @@ def step_prevalence_matrix(
     s_1..s_n.  This is the prevalence summary the paper's user-study
     participants were shown.
     """
-    from ..lang import CorpusVocabulary, ScriptError, lemmatize
-
-    vocabulary = CorpusVocabulary.from_scripts(scripts)
+    vocabulary = cached_index(scripts).to_vocabulary()
     lemmatized = []
     for script in scripts:
         try:

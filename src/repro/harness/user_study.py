@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..corpus import cached_index
 from ..lang import CorpusVocabulary, ScriptError, lemmatize
 
 __all__ = ["RaterPanel", "StudyOutcome", "run_user_study"]
@@ -113,7 +114,7 @@ def run_user_study(
     """
     if ls_method not in outputs_by_method:
         raise KeyError(f"LS method {ls_method!r} missing from outputs")
-    vocabulary = CorpusVocabulary.from_scripts(corpus_scripts)
+    vocabulary = cached_index(corpus_scripts).to_vocabulary()
 
     # one panel per rated dimension: every method faces the same raters
     # (shared per-rater bias), with fresh per-script noise — as in a real

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import resolve_dialect
-from ..dialects import base as _dialect_base
 from ..minipandas import DataFrame
 
 __all__ = [
@@ -170,13 +169,6 @@ class ExecutionResult:
     def timed_out(self) -> bool:
         """Did the script blow its wall-clock budget (vs. a real error)?"""
         return isinstance(self.error, ExecTimeout)
-
-
-#: The dialect layer owns the shared parsed-CSV cache and loader now;
-#: these aliases bind the *same* objects (cache identity matters — tests
-#: and long-lived executors clear/inspect it through this module).
-_CSV_CACHE = _dialect_base._CSV_CACHE
-_load_table = _dialect_base.load_table
 
 
 def _make_guarded_open(data_dir: Optional[str]):

@@ -39,6 +39,7 @@ from ..core import (
 from ..core.explain import explain_result
 from ..corpus import corpus_key, read_corpus_dir
 from ..lang import NoDataFlowError, ScriptError
+from ..ml import DownstreamEvaluationError
 from .protocol import JOB_OPS, canonical
 
 __all__ = [
@@ -318,6 +319,14 @@ def execute_job(
         raise JobError("bad_request", str(exc)) from exc
     except ScriptError as exc:
         raise JobError("bad_request", f"input script failed to parse: {exc}") from exc
+    except DownstreamEvaluationError as exc:
+        # only the input script's own output raises here: a candidate's
+        # failed downstream evaluation scores as an intent violation
+        raise JobError(
+            "bad_request",
+            f"intent target {system.intent.target!r} cannot be evaluated "
+            f"on the input script's output: {exc}",
+        ) from exc
     if op == "standardize":
         return _standardize_result(result)
     if op == "explain":

@@ -265,6 +265,26 @@ class TestErrorVerdicts:
         assert "sample_rows" in str(excinfo.value)
         assert stats["jobs_total"] == 0  # refused before it was queued
 
+    def test_missing_target_column_is_bad_request(
+        self, tmp_path, diabetes_corpus, alex_script, diabetes_dir
+    ):
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client.standardize(
+                        script=alex_script,
+                        corpus=diabetes_corpus,
+                        data_dir=diabetes_dir,
+                        target="Nope",
+                        config=TINY,
+                    )
+                # the server is still up and answers the next job
+                assert client.score(
+                    script=alex_script, corpus=diabetes_corpus, config=TINY
+                )["score"] > 0
+        assert excinfo.value.kind == "bad_request"
+        assert "'Nope'" in str(excinfo.value)
+
     def test_audit_mode_serves_verified_results(
         self, tmp_path, diabetes_corpus, alex_script
     ):

@@ -138,6 +138,17 @@ class TestJobErrors:
         assert capsys.readouterr().err.startswith(message)
 
 
+    def test_missing_target_column(self, corpus_dir, script_path, diabetes_dir, capsys):
+        code = main(["standardize", "--script", script_path, "--corpus-dir", corpus_dir,
+                     "--data-dir", diabetes_dir, "--target", "Nope",
+                     "--seq", "2", "--beam-size", "1", "--sample-rows", "120"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "'Nope'" in captured.err
+
+
 class TestExplain:
     def test_prints_rationales(self, corpus_dir, script_path, diabetes_dir, capsys):
         code = main(

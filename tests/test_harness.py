@@ -3,8 +3,9 @@ reporting)."""
 
 import pytest
 
-from repro.baselines import SyntaxCleaner, gpt4
-from repro.core import LSConfig
+from repro.baselines import SyntaxCleaner, gpt35, gpt4
+from repro.core import LSConfig, percent_improvement
+from repro.core.entropy import RelativeEntropyScorer
 from repro.harness import (
     ImprovementStats,
     evaluate_baseline,
@@ -15,8 +16,11 @@ from repro.harness import (
     render_table,
     run_user_study,
     significance_against,
+    step_prevalence_matrix,
 )
+from repro.harness import reporting, user_study
 from repro.harness.user_study import RaterPanel
+from repro.lang import CorpusVocabulary, ScriptError, parse_script
 
 
 class TestImprovementStats:
@@ -69,23 +73,6 @@ class TestEvaluateLucidScript:
             corpus_override=titanic_competition.scripts,
         )
         assert len(run.improvements) == 2
-
-    def test_retrieval_pool_run(self, medical_competition):
-        # the retrieve-then-compute path: the leave-one-out remainder
-        # becomes a RetrievalIndex pool, every query audited for
-        # exactness against brute-force scoring
-        run = evaluate_lucidscript(
-            medical_competition,
-            intent_kind="jaccard",
-            config=LSConfig(
-                seq=3, beam_size=1, sample_rows=120, verify_retrieval=True
-            ),
-            max_scripts=2,
-            retrieval_k=3,
-        )
-        assert len(run.improvements) == 2
-        assert all(v >= 0.0 for v in run.improvements)
-        assert any(b.get("RetrievalQueries") for b in run.breakdowns)
 
     def test_breakdowns_recorded(self, medical_competition):
         run = evaluate_lucidscript(
@@ -192,8 +179,6 @@ class TestReporting:
 
 class TestPrevalenceMatrix:
     def test_table1_style_matrix(self, diabetes_corpus, alex_script):
-        from repro.harness import step_prevalence_matrix
-
         out = step_prevalence_matrix(diabetes_corpus, user_script=alex_script)
         lines = out.splitlines()
         assert "s_u" in lines[0] and "s_3" in lines[0]
@@ -205,14 +190,81 @@ class TestPrevalenceMatrix:
         assert median_row.count("x") == 1
 
     def test_matrix_without_user_script(self, diabetes_corpus):
-        from repro.harness import step_prevalence_matrix
-
         out = step_prevalence_matrix(diabetes_corpus)
         assert "s_u" not in out.splitlines()[0]
 
     def test_max_steps_cap(self, diabetes_corpus):
-        from repro.harness import step_prevalence_matrix
-
         out = step_prevalence_matrix(diabetes_corpus, max_steps=2)
         # header + separator + 2 step rows
         assert len(out.splitlines()) == 4
+
+
+class _OracleIndex:
+    """Stands in for ``cached_index``: the cold from-scratch build."""
+
+    def __init__(self, scripts):
+        self.scripts = list(scripts)
+
+    def to_vocabulary(self):
+        return CorpusVocabulary.from_scripts(self.scripts)
+
+
+def _oracle_baseline_run(baseline, corpus, max_scripts):
+    """evaluate_baseline's protocol over a cold from_scripts vocabulary."""
+    improvements, outputs = [], []
+    for user_script, rest in list(corpus.leave_one_out())[:max_scripts]:
+        scorer = RelativeEntropyScorer(CorpusVocabulary.from_scripts(rest))
+        output = baseline.rewrite(user_script, rest)
+        outputs.append(output)
+        try:
+            re_before = scorer.score_dag(parse_script(user_script))
+            re_after = scorer.score_dag(parse_script(output))
+        except ScriptError:
+            improvements.append(0.0)
+            continue
+        improvements.append(percent_improvement(re_before, re_after))
+    return improvements, outputs
+
+
+class TestCorpusEnginePath:
+    """The harness curates every corpus through the corpus engine, and
+    what it computes equals the cold ``from_scripts`` oracle bit for bit."""
+
+    @pytest.mark.parametrize("factory", [gpt35, gpt4])
+    def test_baseline_matches_from_scripts_oracle(self, factory, medical_competition):
+        run = evaluate_baseline(factory(seed=0), medical_competition, max_scripts=5)
+        improvements, outputs = _oracle_baseline_run(
+            factory(seed=0), medical_competition, max_scripts=5
+        )
+        assert run.output_scripts == outputs
+        assert run.improvements == improvements
+
+    def test_user_study_matches_from_scripts_oracle(
+        self, diabetes_corpus, alex_script, monkeypatch
+    ):
+        outputs = {"LS": diabetes_corpus[0], "Other": alex_script}
+        engine = run_user_study(outputs, diabetes_corpus, seed=0)
+        monkeypatch.setattr(user_study, "cached_index", _OracleIndex)
+        oracle = run_user_study(outputs, diabetes_corpus, seed=0)
+        assert engine == oracle
+
+    def test_prevalence_matrix_matches_from_scripts_oracle(
+        self, diabetes_corpus, alex_script, monkeypatch
+    ):
+        engine = step_prevalence_matrix(diabetes_corpus, user_script=alex_script)
+        monkeypatch.setattr(reporting, "cached_index", _OracleIndex)
+        oracle = step_prevalence_matrix(diabetes_corpus, user_script=alex_script)
+        assert engine == oracle
+
+    def test_harness_never_builds_a_cold_vocabulary(
+        self, medical_competition, diabetes_corpus, monkeypatch
+    ):
+        def cold_build(cls, scripts, dialect=None):
+            raise AssertionError("the harness built a cold vocabulary")
+
+        monkeypatch.setattr(CorpusVocabulary, "from_scripts", classmethod(cold_build))
+        run = evaluate_baseline(gpt4(seed=0), medical_competition, max_scripts=2)
+        assert len(run.improvements) == 2
+        outcomes = run_user_study({"LS": diabetes_corpus[0]}, diabetes_corpus)
+        assert set(outcomes) == {"LS"}
+        assert "s_3" in step_prevalence_matrix(diabetes_corpus).splitlines()[0]
